@@ -22,11 +22,13 @@
 //! * **sweep wall-clock** — the fig. 3e 24-point grid at `--jobs 1`
 //!   vs `--jobs 4` through the same `run_sweep_with` path the CLI uses.
 //!
-//! Results are appended to a `BENCH_<n>.json` trajectory file at the
-//! repo root (n fixed per PR) so successive PRs have a recorded
-//! baseline. `-- --test` runs a seconds-scale smoke version, asserts the
-//! wheel is at least as fast as the heap, and writes nothing: CI uses it
-//! to keep the bench compiling and every queue path exercised.
+//! A full run writes its results as JSON to the path given by
+//! `-- --out PATH` (by convention a new `BENCH_<n>.json` at the repo root,
+//! so successive records sit side by side) and writes nothing without it,
+//! so a rerun can never overwrite a committed record by accident.
+//! `-- --test` runs a seconds-scale smoke version, asserts the wheel is at
+//! least as fast as the heap, and writes nothing: CI uses it to keep the
+//! bench compiling and every queue path exercised.
 //! `-- --test --wheel-vs-heap` runs only the queue comparison.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -283,10 +285,16 @@ fn bench_sweep(jobs: usize, points: &[figures::SweepPoint]) -> f64 {
 
 fn main() {
     // Cargo passes bench filters and flags like `--bench`; we honor
-    // `--test` (smoke mode) and `--wheel-vs-heap` (queue comparison
-    // only), everything else is ignored.
-    let smoke = std::env::args().any(|a| a == "--test");
-    let queue_only = std::env::args().any(|a| a == "--wheel-vs-heap");
+    // `--test` (smoke mode), `--wheel-vs-heap` (queue comparison only)
+    // and `--out PATH` (where a full run writes its JSON), everything
+    // else is ignored.
+    let args: Vec<String> = std::env::args().collect();
+    let smoke = args.iter().any(|a| a == "--test");
+    let queue_only = args.iter().any(|a| a == "--wheel-vs-heap");
+    let out = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args.get(i + 1).expect("--out needs a PATH").clone());
 
     let host_cpus = hns_par::available_jobs();
     println!("engine_microbench (smoke={smoke}, host_cpus={host_cpus})");
@@ -357,9 +365,12 @@ fn main() {
         return;
     }
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_4.json");
+    let Some(path) = out else {
+        println!("  no --out PATH: not writing BENCH json");
+        return;
+    };
     let json = format!(
-        "{{\n  \"bench\": \"engine_microbench\",\n  \"pr\": 8,\n  \"host_cpus\": {host_cpus},\n  \
+        "{{\n  \"bench\": \"engine_microbench\",\n  \"host_cpus\": {host_cpus},\n  \
          \"event_queue_pops_per_sec\": {wheel_pops_per_sec:.0},\n  \
          \"heap_event_queue_pops_per_sec\": {heap_pops_per_sec:.0},\n  \
          \"wheel_speedup\": {wheel_speedup:.3},\n  \
@@ -373,6 +384,6 @@ fn main() {
          \"speedup\": {speedup:.3}\n  }}\n}}\n",
         points.len()
     );
-    std::fs::write(path, json).expect("write BENCH_4.json");
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("  wrote {path}");
 }

@@ -287,6 +287,33 @@ impl ArenaLedger {
     }
 }
 
+/// World-wide wire-hop handle check: every handle live in the in-flight
+/// frame arena belongs to exactly one frame still on the wire. A drop path
+/// that allocated a handle, or an arrival that never freed one, breaks it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WireArenaLedger {
+    /// Handles currently allocated in the in-flight frame arena.
+    pub live: u64,
+    /// Frames delivered by the wire whose arrival has not fired yet,
+    /// summed over destination hosts.
+    pub wire_in_flight: u64,
+}
+
+impl WireArenaLedger {
+    /// Check handle conservation, appending violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        if self.live != self.wire_in_flight {
+            out.push(Violation {
+                invariant: "wire-frame-handles",
+                detail: format!(
+                    "{} live handles != {} frames in flight on the wire",
+                    self.live, self.wire_in_flight
+                ),
+            });
+        }
+    }
+}
+
 /// Teardown reconciliation of the global drop taxonomy against the
 /// layer-local counters that fed it.
 ///
@@ -698,6 +725,19 @@ mod tests {
         let v = checked(|o| l.check(o));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "frame-arena-leak");
+    }
+
+    #[test]
+    fn wire_arena_ledger_catches_leaked_handle() {
+        let l = WireArenaLedger {
+            live: 3,
+            wire_in_flight: 3,
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        let leak = WireArenaLedger { live: 4, ..l };
+        let v = checked(|o| leak.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "wire-frame-handles");
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! on the NIC [`TxArbiter`]; `TxDrain` serializes them onto the [`Link`];
 //! `FrameArrive` lands them in an Rx descriptor, DMAs them (into the DCA
 //! cache when eligible), and raises an IRQ subject to NAPI masking.
+//!
+//! Frames cross the wire hop by handle. A delivered transmit parks the
+//! segment (ECN mark applied) in a world-owned, free-listed arena and the
+//! `FrameArrive` event carries only the handle; the handler takes the
+//! segment back out, freeing the handle, before the receive path runs. A
+//! wire or switch drop never allocates one. This keeps `Event` at 24 B, so
+//! every queue entry of every kind stays small (see the size test below).
 
 use hns_mem::numa::MemClass;
 use hns_mem::pages_for;
@@ -50,8 +57,9 @@ enum Event {
     StepDone { host: u8, core: u16 },
     /// The NIC of `host` pulls the next frame from its Tx queues.
     TxDrain { host: u8 },
-    /// A frame arrives at the NIC of `dst`.
-    FrameArrive { dst: u8, seg: Segment },
+    /// A frame arrives at the NIC of `dst`. The segment itself waits in
+    /// [`WireFrames`] under handle `frame`, so this variant stays small.
+    FrameArrive { dst: u8, frame: u32 },
     /// IRQ delivery to (host, core).
     Irq { host: u8, core: u16 },
     /// Retransmission timer check for a flow.
@@ -83,6 +91,45 @@ enum Event {
 
 mod audit;
 mod churn;
+
+/// Segments on the wire hop, addressed by handle. A `Segment` is 104 B
+/// (SACK blocks are stored inline), and every event-queue entry pays for
+/// the largest `Event` variant; parking the segment here keeps
+/// `FrameArrive` a handle-sized event. Freed handles are reused LIFO.
+/// Handles never reach the event order (the queue orders by time and
+/// schedule sequence), so reuse cannot perturb a run.
+#[derive(Default)]
+struct WireFrames {
+    slots: Vec<Segment>,
+    free: Vec<u32>,
+}
+
+impl WireFrames {
+    /// Park `seg` and return its handle.
+    fn insert(&mut self, seg: Segment) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                self.slots[h as usize] = seg;
+                h
+            }
+            None => {
+                self.slots.push(seg);
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Take the segment behind `h` back out and free the handle.
+    fn take(&mut self, h: u32) -> Segment {
+        self.free.push(h);
+        self.slots[h as usize]
+    }
+
+    /// Handles currently allocated (frames between transmit and arrival).
+    fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
 
 /// Which scheduled resource fault a `FaultTick` reconciles.
 #[derive(Clone, Copy, Debug)]
@@ -248,6 +295,8 @@ pub struct World {
     queue: EventQueue<Event>,
     hosts: Vec<Host>,
     wire: Wire,
+    /// Segments between a delivered transmit and their `FrameArrive`.
+    wire_frames: WireFrames,
     arbiters: Vec<TxArbiter<Segment>>,
     /// All flows, indexed by [`FlowId`].
     pub flows: Vec<Flow>,
@@ -332,6 +381,7 @@ impl World {
                 Some(f) => Wire::Fabric(Fabric::new(f)),
                 None => Wire::Link(Box::new(Link::new(cfg.link, cfg.seed))),
             },
+            wire_frames: WireFrames::default(),
             arbiters: (0..nhosts)
                 .map(|_| TxArbiter::new(cores, u64::MAX))
                 .collect(),
@@ -692,7 +742,10 @@ impl World {
             Event::Dispatch { host, core } => self.dispatch(host as usize, core as usize),
             Event::StepDone { host, core } => self.step_done(host as usize, core as usize),
             Event::TxDrain { host } => self.tx_drain(host as usize),
-            Event::FrameArrive { dst, seg } => self.frame_arrive(dst as usize, seg),
+            Event::FrameArrive { dst, frame } => {
+                let seg = self.wire_frames.take(frame);
+                self.frame_arrive(dst as usize, seg)
+            }
             Event::Irq { host, core } => {
                 let h = host as usize;
                 if self.hosts[h].sched.raise_softirq(core as usize) {
@@ -1882,11 +1935,12 @@ impl World {
                             self.trace
                                 .stamp(seg.trace, seg.flow, StageId::Wire, h, core, now);
                         }
+                        let frame = self.wire_frames.insert(seg);
                         self.queue.schedule(
                             arrives,
                             Event::FrameArrive {
                                 dst: dst as u8,
-                                seg,
+                                frame,
                             },
                         );
                         if let Some(a) = self.audit_mut() {
@@ -2446,5 +2500,35 @@ impl World {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every `Event` variant pays for the largest one in every wheel entry
+    /// and every batched `PendingFire`, and each entry is copied several
+    /// times on its way through the queue. A fat variant (say, a segment
+    /// carried inline) would silently grow all of them; carry a handle
+    /// instead, as `FrameArrive` does.
+    #[test]
+    fn event_stays_handle_sized() {
+        assert!(std::mem::size_of::<Event>() <= 24);
+    }
+
+    #[test]
+    fn wire_frames_reuse_freed_handles() {
+        let mut wf = WireFrames::default();
+        let a = wf.insert(Segment::data(1, 0, 100, false));
+        let b = wf.insert(Segment::data(2, 100, 100, false));
+        assert_eq!(wf.live(), 2);
+        assert_eq!(wf.take(a).flow, 1);
+        assert_eq!(wf.live(), 1);
+        let c = wf.insert(Segment::data(3, 200, 100, false));
+        assert_eq!(c, a, "freed handle is reused");
+        assert_eq!(wf.take(b).flow, 2);
+        assert_eq!(wf.take(c).flow, 3);
+        assert_eq!(wf.live(), 0);
     }
 }

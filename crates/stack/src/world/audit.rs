@@ -16,6 +16,9 @@
 //!   has,
 //! * **frame-arena leak-freedom** — every live DMA buffer is reachable from
 //!   a backlog, an rx queue, or a GRO table,
+//! * **wire-frame handles** — the in-flight frame arena holds exactly one
+//!   live handle per frame on the wire, so drops never allocate one and
+//!   arrivals always free theirs,
 //! * **flow byte ledgers + seqno continuity** — written equals acked plus
 //!   in-flight plus unsent, the receiver never runs ahead of the sender,
 //!   and delivery never regresses,
@@ -28,7 +31,7 @@
 
 use hns_audit::{
     AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, Violation,
+    HostFrameLedger, RingLedger, Violation, WireArenaLedger,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
@@ -196,6 +199,12 @@ impl World {
             .check(&mut out);
         }
 
+        WireArenaLedger {
+            live: self.wire_frames.live() as u64,
+            wire_in_flight: a.wire_in_flight.iter().sum(),
+        }
+        .check(&mut out);
+
         for f in &self.flows {
             FlowLedger {
                 flow: f.id,
@@ -304,5 +313,67 @@ impl World {
             taxo_mem_drops: self.drop_stats.conn_memory,
         };
         Some((accept, mem))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use hns_faults::LossModel;
+    use hns_sim::Duration;
+
+    use crate::{AppSpec, FabricConfig, FlowSpec, SimConfig, World};
+
+    /// Run `w` audited and check the wire-handle ledger at teardown, with
+    /// the frames still in flight when the run stopped.
+    fn run_balanced(mut w: World) -> World {
+        w.try_run(Duration::from_millis(5), Duration::from_millis(10))
+            .unwrap_or_else(|e| panic!("auditor tripped: {e}"));
+        let in_flight: u64 = w.audit.as_deref().unwrap().wire_in_flight.iter().sum();
+        assert_eq!(w.wire_frames.live() as u64, in_flight);
+        w
+    }
+
+    #[test]
+    fn lossy_link_drops_free_their_wire_handles() {
+        let mut cfg = SimConfig {
+            audit: true,
+            ..SimConfig::default()
+        };
+        cfg.link.loss = LossModel::uniform(0.01);
+        let mut w = World::new(cfg);
+        let f = w.add_flow(FlowSpec::forward(0, 0));
+        w.add_app(0, 0, AppSpec::LongSender { flow: f });
+        w.add_app(1, 0, AppSpec::LongReceiver { flow: f });
+        let w = run_balanced(w);
+        assert!(w.drop_stats.wire > 0, "the lossy link must drop frames");
+    }
+
+    #[test]
+    fn switch_buffer_drops_free_their_wire_handles() {
+        // 8→1 incast into a 64 KB shared buffer: the receiver's egress
+        // port overflows, so switch drops interleave with arrivals.
+        let senders = 8;
+        let mut fabric = FabricConfig::neutral(senders + 1);
+        fabric.uplinks = 4;
+        fabric.buffer_bytes = 64 * 1024;
+        let cfg = SimConfig {
+            audit: true,
+            fabric: Some(fabric),
+            ..SimConfig::default()
+        };
+        let cores = cfg.topology.total_cores();
+        let mut w = World::new(cfg);
+        for i in 0..senders {
+            let host = if i == 0 { 0 } else { i as usize + 1 };
+            let core = i % cores;
+            let f = w.add_flow(FlowSpec::between(host, 0, 1, core));
+            w.add_app(host, 0, AppSpec::LongSender { flow: f });
+            w.add_app(1, core, AppSpec::LongReceiver { flow: f });
+        }
+        let w = run_balanced(w);
+        assert!(
+            w.drop_stats.switch_buffer > 0,
+            "the shared buffer must overflow"
+        );
     }
 }
