@@ -12,6 +12,9 @@
 //!   queue workloads that force the wheel's dead-entry discard, cascade,
 //!   spill, and re-anchor paths (smoke mode runs them too, so CI covers
 //!   those paths, not just the happy path);
+//! * **Tx arbiter dequeue ns/op** — [`hns_nic::TxArbiter`] round-robin
+//!   service over the default 24 per-core queues with 1 and with 8 of
+//!   them holding frames (reported, not gated);
 //! * **engine events/sec** — a full single-flow run, wall-clock divided
 //!   into [`World::events_processed`];
 //! * **allocs/skb and peak bytes/skb** — heap allocations and peak live
@@ -37,6 +40,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 
 use hns_core::figures;
+use hns_nic::TxArbiter;
 use hns_sim::event::EventToken;
 use hns_sim::{Duration, EventQueue, HeapEventQueue, SimTime};
 use hns_stack::{SimConfig, World};
@@ -243,6 +247,23 @@ fn bench_far_future_spill<Q: QueueApi>(q: &mut Q, target_pops: u64) -> f64 {
     popped as f64 / t0.elapsed().as_secs_f64()
 }
 
+/// Tx arbiter service cost: `active` of `queues` queues (spread evenly)
+/// are prefilled with `ops` frames in total, then drained round-robin.
+/// Returns dequeue ns/op; only the drain is timed.
+fn bench_arbiter(queues: usize, active: usize, ops: u64) -> f64 {
+    let mut arb: TxArbiter<u64> = TxArbiter::new(queues, u64::MAX);
+    let stride = queues / active;
+    for i in 0..ops {
+        let q = (i as usize % active) * stride + stride / 2;
+        arb.enqueue(q, 1448, i);
+    }
+    let t0 = Instant::now();
+    while let Some(frame) = arb.dequeue() {
+        std::hint::black_box(frame);
+    }
+    t0.elapsed().as_nanos() as f64 / ops as f64
+}
+
 /// A full single-flow run; returns (events/sec, allocs/skb, peak bytes/skb).
 fn bench_engine(warmup_ms: u64, measure_ms: u64) -> (f64, f64, f64) {
     let cfg = SimConfig::default();
@@ -337,6 +358,14 @@ fn main() {
         return;
     }
 
+    let arbiter_ops = if smoke { 200_000 } else { 2_000_000 };
+    let arbiter_1of24_ns = bench_arbiter(24, 1, arbiter_ops);
+    let arbiter_8of24_ns = bench_arbiter(24, 8, arbiter_ops);
+    println!(
+        "  arbiter dequeue: 1 of 24 queues active {arbiter_1of24_ns:.2} ns/op, \
+         8 of 24 {arbiter_8of24_ns:.2} ns/op"
+    );
+
     let (warmup_ms, measure_ms) = if smoke { (5, 8) } else { (20, 30) };
     let (events_per_sec, allocs_per_skb, peak_bytes_per_skb) = bench_engine(warmup_ms, measure_ms);
     println!(
@@ -376,6 +405,9 @@ fn main() {
          \"wheel_speedup\": {wheel_speedup:.3},\n  \
          \"cancel_heavy_pops_per_sec\": {cancel_pops_per_sec:.0},\n  \
          \"far_future_spill_pops_per_sec\": {spill_pops_per_sec:.0},\n  \
+         \"arbiter\": {{\n    \"queues\": 24,\n    \
+         \"dequeue_ns_per_op_1_active\": {arbiter_1of24_ns:.2},\n    \
+         \"dequeue_ns_per_op_8_active\": {arbiter_8of24_ns:.2}\n  }},\n  \
          \"engine_events_per_sec\": {events_per_sec:.0},\n  \
          \"allocs_per_skb\": {allocs_per_skb:.3},\n  \
          \"peak_bytes_per_skb\": {peak_bytes_per_skb:.1},\n  \

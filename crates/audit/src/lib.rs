@@ -314,6 +314,62 @@ impl WireArenaLedger {
     }
 }
 
+/// Per-host transmit-queue conservation and arbiter self-consistency:
+/// every frame enqueued on the NIC's Tx queues was handed to the wire or
+/// is still queued, the arbiter's frame count is the sum of its queues,
+/// and its doorbell bitmap marks exactly the non-empty queues (a stale
+/// clear bit strands a queue; a stale set bit serves an empty one).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct TxQueueLedger {
+    /// Sending host.
+    pub host: usize,
+    /// Frames the arbiter accepted onto its queues.
+    pub enqueued: u64,
+    /// Frames the arbiter dequeued and handed to the wire (delivered and
+    /// dropped alike).
+    pub to_wire: u64,
+    /// The arbiter's own count of queued frames.
+    pub queued: u64,
+    /// Σ per-queue frame counts.
+    pub queue_frames: u64,
+    /// Queues whose doorbell bit disagrees with whether they hold frames.
+    pub doorbell_mismatches: u64,
+}
+
+impl TxQueueLedger {
+    /// Check Tx-queue conservation, appending violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        let h = self.host;
+        if self.to_wire + self.queued != self.enqueued {
+            out.push(Violation {
+                invariant: "tx-queue-ledger",
+                detail: format!(
+                    "host {h}: to_wire {} + queued {} != enqueued {}",
+                    self.to_wire, self.queued, self.enqueued
+                ),
+            });
+        }
+        if self.queued != self.queue_frames {
+            out.push(Violation {
+                invariant: "tx-arbiter-len",
+                detail: format!(
+                    "host {h}: arbiter len {} != Σ queue lengths {}",
+                    self.queued, self.queue_frames
+                ),
+            });
+        }
+        if self.doorbell_mismatches != 0 {
+            out.push(Violation {
+                invariant: "tx-arbiter-doorbell",
+                detail: format!(
+                    "host {h}: {} queues' doorbell bits disagree with their occupancy",
+                    self.doorbell_mismatches
+                ),
+            });
+        }
+    }
+}
+
 /// Teardown reconciliation of the global drop taxonomy against the
 /// layer-local counters that fed it.
 ///
@@ -738,6 +794,38 @@ mod tests {
         let v = checked(|o| leak.check(o));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "wire-frame-handles");
+    }
+
+    #[test]
+    fn tx_queue_ledger_balances_and_catches_each_imbalance() {
+        let l = TxQueueLedger {
+            host: 3,
+            enqueued: 100,
+            to_wire: 88,
+            queued: 12,
+            queue_frames: 12,
+            doorbell_mismatches: 0,
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        let lost = TxQueueLedger { to_wire: 87, ..l };
+        let v = checked(|o| lost.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "tx-queue-ledger");
+        assert!(v[0].detail.contains("host 3"), "{}", v[0].detail);
+        let miscounted = TxQueueLedger {
+            queue_frames: 11,
+            ..l
+        };
+        let v = checked(|o| miscounted.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "tx-arbiter-len");
+        let stranded = TxQueueLedger {
+            doorbell_mismatches: 1,
+            ..l
+        };
+        let v = checked(|o| stranded.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "tx-arbiter-doorbell");
     }
 
     #[test]

@@ -151,17 +151,23 @@ impl Fabric {
     }
 
     /// Total queued bytes across every egress port and uplink at `now`
-    /// (the shared buffer's occupancy).
+    /// (the shared buffer's occupancy). Only clocks still busy at `now`
+    /// are converted: an idle port or uplink holds exactly zero bytes.
+    /// [`Fabric::transmit`] skips this scan altogether when the buffer
+    /// is infinite, since admission cannot fail then.
     pub fn occupancy(&self, now: SimTime) -> u64 {
+        let gbps = self.config.gbps;
         let ports: u64 = self
             .ports
             .iter()
-            .map(|p| backlog_bytes(p.busy_until.since(now), self.config.gbps))
+            .filter(|p| p.busy_until > now)
+            .map(|p| backlog_bytes(p.busy_until.since(now), gbps))
             .sum();
         let uplinks: u64 = self
             .uplinks
             .iter()
-            .map(|&u| backlog_bytes(u.since(now), self.config.gbps))
+            .filter(|&&u| u > now)
+            .map(|&u| backlog_bytes(u.since(now), gbps))
             .sum();
         ports + uplinks
     }
@@ -181,7 +187,11 @@ impl Fabric {
         wire_bytes: u64,
     ) -> TransmitOutcome {
         debug_assert_ne!(src, dst, "a host cannot transmit to itself");
-        let occ = self.occupancy(now);
+        // Shared-buffer admission, judged on the occupancy at the offer.
+        // An infinite buffer admits everything, so it skips the scan.
+        let buffer = self.config.buffer_bytes;
+        let admitted =
+            buffer == u64::MAX || self.occupancy(now).saturating_add(wire_bytes) <= buffer;
         let ser = Duration::for_bytes_at_gbps(wire_bytes, self.config.gbps);
 
         // The frame crosses the source's own wire whatever the switch does
@@ -193,10 +203,9 @@ impl Fabric {
         p.frames += 1;
         p.bytes += wire_bytes;
 
-        // Shared-buffer admission: a refused frame consumed its ingress
-        // wire time but never occupied the switch, so no switch clock
-        // advances.
-        if occ.saturating_add(wire_bytes) > self.config.buffer_bytes {
+        // A refused frame consumed its ingress wire time but never
+        // occupied the switch, so no switch clock advances.
+        if !admitted {
             p.drops += 1;
             return TransmitOutcome::Dropped;
         }
@@ -262,6 +271,105 @@ impl Fabric {
 mod tests {
     use super::*;
     use hns_nic::link::{Link, LinkConfig};
+    use proptest::prelude::*;
+
+    /// Occupancy as a scan of every port and uplink, idle ones included.
+    fn full_scan_occupancy(f: &Fabric, now: SimTime) -> u64 {
+        let gbps = f.config.gbps;
+        let ports: u64 = f
+            .ports
+            .iter()
+            .map(|p| backlog_bytes(p.busy_until.since(now), gbps))
+            .sum();
+        let uplinks: u64 = f
+            .uplinks
+            .iter()
+            .map(|&u| backlog_bytes(u.since(now), gbps))
+            .sum();
+        ports + uplinks
+    }
+
+    /// One offer: `(src, dst offset, flow, ns since the previous offer,
+    /// wire bytes)`. Gaps reach well past a frame's serialization time so
+    /// ports and uplinks go idle between bursts.
+    fn offers() -> impl Strategy<Value = Vec<(usize, usize, u64, u64, u64)>> {
+        let gap = prop_oneof![Just(0u64), 0u64..800, 0u64..20_000];
+        collection::vec(
+            (0usize..64, 1usize..64, 0u64..1_000, gap, 78u64..9_079),
+            1..200,
+        )
+    }
+
+    /// Apply one offer to `f` at time `*t`, advancing `*t` first.
+    fn offer(
+        f: &mut Fabric,
+        t: &mut u64,
+        (src, dst_off, flow, gap, bytes): (usize, usize, u64, u64, u64),
+    ) -> (SimTime, TransmitOutcome) {
+        let n = f.hosts();
+        let src = src % n;
+        let dst = (src + 1 + dst_off % (n - 1)) % n;
+        *t += gap;
+        let now = SimTime::from_nanos(*t);
+        (now, f.transmit(src, dst, flow, now, bytes))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Skipping idle clocks never changes the occupancy: it equals a
+        /// scan of every port and uplink at each offer, and at probe
+        /// times ahead of it where some clocks have gone idle.
+        #[test]
+        fn occupancy_matches_full_scan(
+            hosts in 2u16..10,
+            uplinks in prop_oneof![Just(0u8), 1u8..4],
+            buffer in prop_oneof![Just(u64::MAX), 10_000u64..200_000],
+            seq in offers(),
+            probes in collection::vec(0u64..30_000, 1..4),
+        ) {
+            let mut f = Fabric::new(FabricConfig {
+                uplinks,
+                buffer_bytes: buffer,
+                ..FabricConfig::neutral(hosts)
+            });
+            let mut t = 0;
+            for o in seq {
+                let (now, _) = offer(&mut f, &mut t, o);
+                prop_assert_eq!(f.occupancy(now), full_scan_occupancy(&f, now));
+                for &ahead in &probes {
+                    let at = SimTime::from_nanos(t + ahead);
+                    prop_assert_eq!(f.occupancy(at), full_scan_occupancy(&f, at));
+                }
+            }
+        }
+
+        /// An infinite buffer, which skips the admission scan, delivers
+        /// exactly what a finite buffer too large to fill delivers.
+        #[test]
+        fn infinite_buffer_matches_unfillable_finite_buffer(
+            hosts in 2u16..10,
+            uplinks in prop_oneof![Just(0u8), 1u8..4],
+            seq in offers(),
+        ) {
+            let cfg = FabricConfig { uplinks, ..FabricConfig::neutral(hosts) };
+            let mut inf = Fabric::new(cfg);
+            let mut fin = Fabric::new(FabricConfig { buffer_bytes: 1 << 40, ..cfg });
+            let (mut ti, mut tf) = (0, 0);
+            for o in seq {
+                let (_, a) = offer(&mut inf, &mut ti, o);
+                let (_, b) = offer(&mut fin, &mut tf, o);
+                prop_assert!(matches!(a, TransmitOutcome::Delivered { .. }), "{:?}", a);
+                prop_assert_eq!(a, b);
+            }
+            for h in 0..inf.hosts() {
+                prop_assert_eq!(inf.next_free(h), fin.next_free(h));
+                prop_assert_eq!(inf.frames_to(h), fin.frames_to(h));
+            }
+            prop_assert_eq!(inf.total_drops(), 0);
+            prop_assert_eq!(fin.total_drops(), 0);
+        }
+    }
 
     fn neutral() -> Fabric {
         Fabric::new(FabricConfig::neutral(2))

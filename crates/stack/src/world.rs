@@ -1808,9 +1808,7 @@ impl World {
                 // appears here, forward it untouched rather than abort.
                 let h = self.flows[fid].spec.src_host;
                 let queue = self.flows[fid].spec.src_core as usize;
-                let ok = self.arbiters[h].enqueue(queue, seg.payload_len(), seg);
-                debug_assert!(ok, "tx queues are unbounded");
-                self.arm_txdrain(h);
+                self.enqueue_frames(h, queue, seg, ch);
                 return true;
             }
         };
@@ -1874,6 +1872,9 @@ impl World {
         });
         let accepted = self.arbiters[h].enqueue_all(queue, frames);
         debug_assert_eq!(accepted as u64, nframes, "tx queues are unbounded");
+        if let Some(a) = self.audit_mut() {
+            a.tx_enqueued[h] += accepted as u64;
+        }
         self.arm_txdrain(h);
         true
     }
@@ -1890,7 +1891,10 @@ impl World {
     /// transmission from (host, core).
     fn enqueue_frames(&mut self, h: usize, core: usize, seg: Segment, _ch: &mut Charges) {
         let ok = self.arbiters[h].enqueue(core, seg.payload_len(), seg);
-        debug_assert!(ok);
+        debug_assert!(ok, "tx queues are unbounded");
+        if let Some(a) = self.audit_mut() {
+            a.tx_enqueued[h] += 1;
+        }
         self.arm_txdrain(h);
     }
 
@@ -1902,6 +1906,9 @@ impl World {
                 // the watchdog — even a dropped frame proves the sender's
                 // recovery machinery is still alive.
                 self.progress += 1;
+                if let Some(a) = self.audit_mut() {
+                    a.tx_to_wire[h] += 1;
+                }
                 // Conn segments carry a packed connection id in `flow`, not
                 // a flow-table index; their lifecycle stamps happen at the
                 // handshake stages instead.

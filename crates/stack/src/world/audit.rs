@@ -16,6 +16,9 @@
 //!   has,
 //! * **frame-arena leak-freedom** — every live DMA buffer is reachable from
 //!   a backlog, an rx queue, or a GRO table,
+//! * **Tx-queue ledger** — every frame a host's Tx arbiter accepted was
+//!   handed to the wire or is still queued, and the arbiter's frame count
+//!   and doorbell bitmap agree with its queues,
 //! * **wire-frame handles** — the in-flight frame arena holds exactly one
 //!   live handle per frame on the wire, so drops never allocate one and
 //!   arrivals always free theirs,
@@ -31,7 +34,7 @@
 
 use hns_audit::{
     AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, Violation, WireArenaLedger,
+    HostFrameLedger, RingLedger, TxQueueLedger, Violation, WireArenaLedger,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
@@ -56,6 +59,10 @@ pub(super) struct AuditState {
     pub(super) stale_frames: Vec<u64>,
     /// `FrameArrive` events scheduled but not yet fired, per destination.
     pub(super) wire_in_flight: Vec<u64>,
+    /// Frames the Tx arbiter accepted, per sending host.
+    pub(super) tx_enqueued: Vec<u64>,
+    /// Frames the Tx arbiter handed to the wire, per sending host.
+    pub(super) tx_to_wire: Vec<u64>,
     /// Busy-time charge calls since the window started, per host (bounds
     /// the cycles→ns flooring slack in the cycle ledger).
     pub(super) charge_calls: Vec<u64>,
@@ -74,6 +81,8 @@ impl AuditState {
             backlog_drops: vec![0; hosts],
             stale_frames: vec![0; hosts],
             wire_in_flight: vec![0; hosts],
+            tx_enqueued: vec![0; hosts],
+            tx_to_wire: vec![0; hosts],
             charge_calls: vec![0; hosts],
             last_event_at: SimTime::ZERO,
             prev_rcv_nxt: Vec::new(),
@@ -163,6 +172,19 @@ impl World {
                 stale_conn_frames: a.stale_frames[h],
                 backlog_len: host.cores.iter().map(|c| c.backlog.len() as u64).sum(),
                 polled: a.polled[h],
+            }
+            .check(&mut out);
+
+            let arb = &self.arbiters[h];
+            TxQueueLedger {
+                host: h,
+                enqueued: a.tx_enqueued[h],
+                to_wire: a.tx_to_wire[h],
+                queued: arb.len() as u64,
+                queue_frames: (0..arb.queues()).map(|q| arb.queue_len(q) as u64).sum(),
+                doorbell_mismatches: (0..arb.queues())
+                    .filter(|&q| arb.doorbell(q) != (arb.queue_len(q) > 0))
+                    .count() as u64,
             }
             .check(&mut out);
 
@@ -346,6 +368,38 @@ mod tests {
         w.add_app(1, 0, AppSpec::LongReceiver { flow: f });
         let w = run_balanced(w);
         assert!(w.drop_stats.wire > 0, "the lossy link must drop frames");
+    }
+
+    #[test]
+    fn tx_queue_ledger_balances_across_every_queue() {
+        // One flow per sender core: all 24 Tx queues of host 0 carry data
+        // and the arbiter interleaves them round-robin.
+        let cfg = SimConfig {
+            audit: true,
+            ..SimConfig::default()
+        };
+        let cores = cfg.topology.total_cores();
+        let mut w = World::new(cfg);
+        let flows: Vec<_> = (0..cores)
+            .map(|core| {
+                let f = w.add_flow(FlowSpec::forward(core, core));
+                w.add_app(0, core, AppSpec::LongSender { flow: f });
+                w.add_app(1, core, AppSpec::LongReceiver { flow: f });
+                f
+            })
+            .collect();
+        let mut w = run_balanced(w);
+        for &f in &flows {
+            assert!(
+                w.flows[f as usize].receiver.rcv_nxt() > 0,
+                "flow {f} never left its Tx queue"
+            );
+        }
+        // The ledger balanced at every tick and at teardown; it is also
+        // live: a frame that vanishes from the books trips it.
+        w.audit.as_deref_mut().unwrap().tx_enqueued[0] += 1;
+        let v = w.collect_violations(false);
+        assert!(v.iter().any(|v| v.invariant == "tx-queue-ledger"), "{v:?}");
     }
 
     #[test]
