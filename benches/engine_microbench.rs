@@ -9,9 +9,13 @@
 //!   reference [`hns_sim::HeapEventQueue`], so the wheel's speedup is
 //!   measured on the workload shape every `BENCH_<n>.json` has recorded;
 //! * **cancellation-heavy and far-future-spill churn** — adversarial
-//!   queue workloads that force the wheel's dead-entry discard, cascade,
-//!   spill, and re-anchor paths (smoke mode runs them too, so CI covers
-//!   those paths, not just the happy path);
+//!   queue workloads that force the wheel's cancel-unlink, cascade,
+//!   spill-migration, and re-anchor paths (smoke mode runs them too, so CI
+//!   covers those paths, not just the happy path);
+//! * **timer re-arm** — ns per cancel-plus-reschedule of 64 live RTO-style
+//!   timers re-armed 1 ms out while `now` advances 1 µs per step, and the
+//!   loop's peak live bytes (reported, not gated): the pattern that buries
+//!   cancelled entries in any queue that defers their removal;
 //! * **Tx arbiter dequeue ns/op** — [`hns_nic::TxArbiter`] round-robin
 //!   service over the default 24 per-core queues with 1 and with 8 of
 //!   them holding frames (reported, not gated);
@@ -20,7 +24,7 @@
 //! * **allocs/skb and peak bytes/skb** — heap allocations and peak live
 //!   bytes (above the pre-run baseline) per delivered skb during that
 //!   run, counted by a wrapping global allocator, so neither allocation
-//!   count nor resident footprint (e.g. the wheel's bucket arrays) can
+//!   count nor resident footprint (e.g. the wheel's slab) can
 //!   silently regress;
 //! * **sweep wall-clock** — the fig. 3e 24-point grid at `--jobs 1`
 //!   vs `--jobs 4` through the same `run_sweep_with` path the CLI uses.
@@ -182,9 +186,10 @@ fn bench_queue_churn<Q: QueueApi>(q: &mut Q, target_pops: u64) -> f64 {
 }
 
 /// Cancellation-heavy churn: every iteration schedules two events and
-/// kills one immediately, plus an aged (buried) token every other round —
-/// most scheduled events die before firing, so the dead-entry discard and
-/// eager head-prune paths dominate.
+/// kills one immediately, plus the oldest retained token every other
+/// round (still pending deep in the queue, or already fired and a no-op)
+/// — half of all scheduled events die before firing, so cancellation
+/// dominates: an O(1) unlink in the wheel, a deferred discard in the heap.
 fn bench_cancel_heavy<Q: QueueApi>(q: &mut Q, target_pops: u64) -> f64 {
     let mut tokens: VecDeque<EventToken> = VecDeque::new();
     for i in 0..512u64 {
@@ -199,7 +204,7 @@ fn bench_cancel_heavy<Q: QueueApi>(q: &mut Q, target_pops: u64) -> f64 {
         q.cancel(kill);
         if i.is_multiple_of(2) {
             if let Some(t) = tokens.pop_front() {
-                q.cancel(t); // buried: surfaces (dead) well after cancel
+                q.cancel(t); // pending deep in the queue, or stale
             }
         }
         tokens.push_back(keep);
@@ -245,6 +250,35 @@ fn bench_far_future_spill<Q: QueueApi>(q: &mut Q, target_pops: u64) -> f64 {
     }
     assert!(q.is_empty());
     popped as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Timer re-arm: 64 live timers, each cancelled and rescheduled 1 ms
+/// out on every step, while a tick event advances `now` 1 µs per step (so
+/// no timer ever fires). Returns (ns per cancel + reschedule, peak live
+/// bytes of the loop including the queue itself); the tick's own cost is
+/// amortized over the 64 re-arms of its step.
+fn bench_rearm(steps: u64) -> (f64, i64) {
+    const TIMERS: u64 = 64;
+    let live0 = reset_peak();
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut timers: Vec<EventToken> = (0..TIMERS)
+        .map(|i| q.schedule(SimTime::from_nanos(1_000_000), i))
+        .collect();
+    let t0 = Instant::now();
+    for step in 0..steps {
+        let now = q.now().as_nanos();
+        for (i, timer) in timers.iter_mut().enumerate() {
+            q.cancel(*timer);
+            *timer = q.schedule(SimTime::from_nanos(now + 1_000_000), i as u64);
+        }
+        q.schedule(SimTime::from_nanos(now + 1_000), u64::MAX);
+        let fired = q.pop().map(|(_, v)| v);
+        assert_eq!(fired, Some(u64::MAX), "re-armed timer fired at step {step}");
+    }
+    let ns = t0.elapsed().as_nanos() as f64 / (steps * TIMERS) as f64;
+    let peak = peak_above(live0);
+    drop(q);
+    (ns, peak)
 }
 
 /// Tx arbiter service cost: `active` of `queues` queues (spread evenly)
@@ -343,6 +377,10 @@ fn main() {
          heap {heap_spill_pops_per_sec:.0} pops/sec"
     );
 
+    let rearm_steps = if smoke { 2_000 } else { 20_000 };
+    let (rearm_ns, rearm_peak_bytes) = bench_rearm(rearm_steps);
+    println!("  timer re-arm (64 live, +1 ms): {rearm_ns:.1} ns/op, {rearm_peak_bytes} peak bytes");
+
     if smoke {
         // CI gate: the wheel must not lose to the heap on the recorded
         // workload shape.
@@ -405,6 +443,9 @@ fn main() {
          \"wheel_speedup\": {wheel_speedup:.3},\n  \
          \"cancel_heavy_pops_per_sec\": {cancel_pops_per_sec:.0},\n  \
          \"far_future_spill_pops_per_sec\": {spill_pops_per_sec:.0},\n  \
+         \"rearm\": {{\n    \"timers\": 64,\n    \
+         \"ns_per_cancel_reschedule\": {rearm_ns:.2},\n    \
+         \"peak_live_bytes\": {rearm_peak_bytes}\n  }},\n  \
          \"arbiter\": {{\n    \"queues\": 24,\n    \
          \"dequeue_ns_per_op_1_active\": {arbiter_1of24_ns:.2},\n    \
          \"dequeue_ns_per_op_8_active\": {arbiter_8of24_ns:.2}\n  }},\n  \

@@ -370,6 +370,48 @@ impl TxQueueLedger {
     }
 }
 
+/// Event-queue conservation and storage consistency: every event ever
+/// scheduled has fired, been cancelled, or is still pending, and the
+/// queue's pending count matches the entries actually reachable through
+/// its storage (a lost link strands an event; a stale one fires twice).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EventQueueLedger {
+    /// Events ever scheduled.
+    pub scheduled: u64,
+    /// Events popped (fired).
+    pub popped: u64,
+    /// Pending events removed by cancellation.
+    pub cancelled: u64,
+    /// The queue's own pending count.
+    pub pending: u64,
+    /// Entries found by walking every container of the queue's storage.
+    pub reachable: u64,
+}
+
+impl EventQueueLedger {
+    /// Check event-queue conservation, appending violations to `out`.
+    pub fn check(&self, out: &mut Vec<Violation>) {
+        if self.popped + self.cancelled + self.pending != self.scheduled {
+            out.push(Violation {
+                invariant: "event-queue-ledger",
+                detail: format!(
+                    "popped {} + cancelled {} + pending {} != scheduled {}",
+                    self.popped, self.cancelled, self.pending, self.scheduled
+                ),
+            });
+        }
+        if self.reachable != self.pending {
+            out.push(Violation {
+                invariant: "event-queue-storage",
+                detail: format!(
+                    "{} events reachable in storage, {} pending",
+                    self.reachable, self.pending
+                ),
+            });
+        }
+    }
+}
+
 /// Teardown reconciliation of the global drop taxonomy against the
 /// layer-local counters that fed it.
 ///
@@ -826,6 +868,27 @@ mod tests {
         let v = checked(|o| stranded.check(o));
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].invariant, "tx-arbiter-doorbell");
+    }
+
+    #[test]
+    fn event_queue_ledger_balances_and_catches_each_imbalance() {
+        let l = EventQueueLedger {
+            scheduled: 1_000,
+            popped: 900,
+            cancelled: 60,
+            pending: 40,
+            reachable: 40,
+        };
+        assert!(checked(|o| l.check(o)).is_empty());
+        let leaked = EventQueueLedger { popped: 899, ..l };
+        let v = checked(|o| leaked.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "event-queue-ledger");
+        assert!(v[0].detail.contains("scheduled 1000"), "{}", v[0].detail);
+        let stranded = EventQueueLedger { reachable: 39, ..l };
+        let v = checked(|o| stranded.check(o));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].invariant, "event-queue-storage");
     }
 
     #[test]

@@ -6,54 +6,34 @@
 //! in FIFO scheduling order, which is what keeps runs deterministic
 //! regardless of storage internals.
 //!
-//! Since PR 8 the storage is a hierarchical timer wheel
-//! (`crate::wheel`): pushes are O(1) bucket appends and pops are
-//! amortized-O(1) `pop_front`s from a sorted front run, replacing the
-//! binary heap's O(log n) sifts that dominated the engine at million-flow
-//! scale. The heap lives on as [`HeapEventQueue`] — same API, same
-//! semantics — serving as the differential-test oracle and the benchmark
-//! baseline.
+//! The storage is a hierarchical timer wheel over a slab
+//! (`crate::wheel`): pushes link a slab slot into a bucket list in O(1)
+//! and pops are amortized O(1), replacing the binary heap's O(log n)
+//! sifts that dominated the engine at million-flow scale. The heap lives
+//! on as [`HeapEventQueue`] — same API, same semantics — serving as the
+//! differential-test oracle and the benchmark baseline.
 //!
 //! Events also support *cancellation by token*: callers keep the
 //! [`EventToken`] returned by [`EventQueue::schedule`] and may cancel it
 //! (e.g. a retransmission timer disarmed by an ACK).
 //!
-//! # Cancellation without the hot-path probe
+//! # Cancellation
 //!
-//! Cancellation is generation-stamped: every scheduled event carries a
-//! `(slot, generation)` pair into storage, and a side table records each
-//! slot's current generation. Cancelling (or firing) an event bumps its
-//! slot's generation, so liveness is a single indexed compare — no
-//! hash-set probe on the pop path. Slots are freelisted and reused, so the
-//! table stays sized to the maximum number of *outstanding* events, not
-//! the run length.
-//!
-//! Cancelled events buried in the wheel are discarded lazily as they
-//! surface, but the head itself is pruned eagerly (on `cancel` and after
-//! each `pop`), so the queue upholds the invariant *the head is never
-//! cancelled*. That is what lets [`EventQueue::peek_time`] take `&self`,
-//! and it keeps [`EventQueue::len`] exact: a token cancelled after its
-//! event fired is a generation mismatch and a no-op, never a phantom
-//! entry.
-//!
-//! # Batched same-tick dispatch
-//!
-//! [`EventQueue::pop_batch`] drains every event sharing the head
-//! timestamp into a caller-owned scratch vector in one pass — all
-//! same-instant events are contiguous at the wheel's front, so the drain
-//! never re-probes the queue. Draining does **not** retire the events:
-//! each [`PendingFire`] must be passed to [`EventQueue::commit`] just
-//! before it is handled, which re-checks liveness (a handler earlier in
-//! the batch may have cancelled it), advances `now`, and counts the pop.
-//! This two-phase protocol makes the batch path byte-identical to a
-//! pop-per-event loop: `len()`, `popped()`, and cancellation semantics are
-//! exactly those of [`EventQueue::pop`].
+//! A token names the slab slot its event occupies and the slot's
+//! generation at scheduling time. Firing or cancelling an event bumps the
+//! generation and frees the slot for reuse, so a stale token (its event
+//! already fired or cancelled, perhaps with the slot since reused) is a
+//! generation mismatch and a no-op. A live token's cancel unlinks the
+//! event from its bucket in O(1): the queue never stores a dead entry, so
+//! [`EventQueue::len`] is simply the slab's live count, and the slab stays
+//! sized to the maximum number of *outstanding* events, not the run
+//! length.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-use crate::wheel::{TimerWheel, WheelEntry};
+use crate::wheel::TimerWheel;
 
 /// Opaque handle identifying a scheduled event, for cancellation. Carries
 /// the event's slot index and the slot generation at scheduling time; the
@@ -110,37 +90,14 @@ impl<E> Ord for ScheduledEvent<E> {
     }
 }
 
-/// An event drained by [`EventQueue::pop_batch`] but not yet retired.
-///
-/// The event is physically out of the queue but still *pending* for
-/// accounting purposes: `len()` counts it until [`EventQueue::commit`]
-/// retires it (or a cancel kills it first, in which case `commit` returns
-/// `false` and the caller must skip it).
-#[derive(Debug)]
-pub struct PendingFire<E> {
-    /// The shared batch timestamp.
-    pub time: SimTime,
-    slot: u32,
-    generation: u64,
-    /// The payload.
-    pub event: E,
-}
-
 /// Deterministic priority queue of simulation events, backed by a
 /// hierarchical timer wheel.
 pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
     next_seq: u64,
     now: SimTime,
-    /// Current generation of each slot. A stored event is live iff its
-    /// stamped generation equals its slot's entry here.
-    generations: Vec<u64>,
-    /// Slots whose event has fired or been cancelled, available for reuse.
-    free_slots: Vec<u32>,
-    /// Exact number of pending (live) events, counting batch-drained
-    /// events until they commit.
-    live_pending: usize,
     popped: u64,
+    cancelled: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -156,25 +113,24 @@ impl<E> EventQueue<E> {
             wheel: TimerWheel::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            generations: Vec::new(),
-            free_slots: Vec::new(),
-            live_pending: 0,
             popped: 0,
+            cancelled: 0,
         }
     }
 
     /// Current simulation time: the timestamp of the most recently popped
-    /// (or committed) event, monotonically non-decreasing.
+    /// event, monotonically non-decreasing.
     #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
 
-    /// Number of pending (non-cancelled) events. Exact: cancelling an
-    /// already-fired token is a generation mismatch and changes nothing,
-    /// and batch-drained events stay counted until they commit.
+    /// Number of pending (non-cancelled) events. Exact: cancelled events
+    /// are unlinked at once, and cancelling an already-fired token is a
+    /// generation mismatch that changes nothing.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.live_pending
+        self.wheel.len()
     }
 
     /// True if no events are pending.
@@ -182,23 +138,21 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total events popped so far (for engine benchmarking). Batched
-    /// events count when they commit.
+    /// Total events popped so far (for engine benchmarking).
     pub fn popped(&self) -> u64 {
         self.popped
     }
 
-    /// Allocate a slot and stamp the current generation.
-    #[inline]
-    fn alloc_slot(&mut self) -> (u32, u64) {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                self.generations.push(0);
-                (self.generations.len() - 1) as u32
-            }
-        };
-        (slot, self.generations[slot as usize])
+    /// Total events ever scheduled.
+    pub fn scheduled(&self) -> u64 {
+        self.next_seq
+    }
+
+    /// Total cancels that removed a pending event (no-op cancels of dead
+    /// tokens are not counted). `scheduled() == popped() + cancelled() +
+    /// len()` at all times.
+    pub fn cancelled(&self) -> u64 {
+        self.cancelled
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -214,17 +168,7 @@ impl<E> EventQueue<E> {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let (slot, generation) = self.alloc_slot();
-        self.wheel.push(WheelEntry {
-            time: at,
-            seq,
-            slot,
-            generation,
-            event,
-        });
-        self.live_pending += 1;
-        // Keep the head materialized so peek_time stays `&self`.
-        self.wheel.ensure_front();
+        let (slot, generation) = self.wheel.insert(at, seq, event);
         EventToken { slot, generation }
     }
 
@@ -234,185 +178,63 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule a batch of events at one shared timestamp, in iterator
-    /// order (they will fire FIFO). The placement is computed once and the
-    /// whole run bulk-inserts into a single wheel bucket, so this is the
-    /// cheap way to arm N timers at the same instant. No tokens are
-    /// returned — use [`Self::schedule`] for events that may be cancelled.
+    /// order (they will fire FIFO). No tokens are returned — use
+    /// [`Self::schedule`] for events that may be cancelled.
     pub fn schedule_all<I>(&mut self, at: SimTime, events: I)
     where
         I: IntoIterator<Item = E>,
     {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past: {at:?} < {:?}",
-            self.now
-        );
-        let at = at.max(self.now);
-        let next_seq = &mut self.next_seq;
-        let generations = &mut self.generations;
-        let free_slots = &mut self.free_slots;
-        let live_pending = &mut self.live_pending;
-        let entries = events.into_iter().map(|event| {
-            let seq = *next_seq;
-            *next_seq += 1;
-            let slot = match free_slots.pop() {
-                Some(s) => s,
-                None => {
-                    generations.push(0);
-                    (generations.len() - 1) as u32
-                }
-            };
-            *live_pending += 1;
-            WheelEntry {
-                time: at,
-                seq,
-                slot,
-                generation: generations[slot as usize],
-                event,
-            }
-        });
-        self.wheel.push_same_time(at, entries);
-        self.wheel.ensure_front();
+        for event in events {
+            self.schedule(at, event);
+        }
     }
 
     /// Cancel a previously scheduled event. Safe to call with a token that
     /// has already fired or been cancelled (generation mismatch, no effect)
     /// or with [`EventToken::NONE`].
     pub fn cancel(&mut self, token: EventToken) {
-        let s = token.slot as usize;
-        if s >= self.generations.len() || self.generations[s] != token.generation {
-            return; // NONE, already fired, or already cancelled
+        if self.wheel.remove(token.slot, token.generation) {
+            self.cancelled += 1;
         }
-        // Bump the generation so the stored entry reads as dead, and free
-        // the slot immediately: a reusing event gets the bumped generation,
-        // so the stale entry can never be mistaken for it.
-        self.generations[s] = self.generations[s].wrapping_add(1);
-        self.free_slots.push(token.slot);
-        self.live_pending -= 1;
-        self.prune();
-    }
-
-    /// True iff the event stamped `(slot, generation)` has neither fired
-    /// nor been cancelled.
-    #[inline]
-    fn is_live(&self, slot: u32, generation: u64) -> bool {
-        self.generations[slot as usize] == generation
-    }
-
-    /// Restore the invariant that the queue head is live and materialized
-    /// in the wheel's front, discarding any cancelled entries that
-    /// surfaced. Amortized O(1): each dead entry is discarded exactly once.
-    fn prune(&mut self) {
-        loop {
-            self.wheel.ensure_front();
-            match self.wheel.peek() {
-                Some(e) if !self.is_live(e.slot, e.generation) => {
-                    self.wheel.pop_front();
-                }
-                _ => break,
-            }
-        }
-    }
-
-    /// Retire a fired event's slot and advance the clock.
-    #[inline]
-    fn retire(&mut self, slot: u32, time: SimTime) {
-        self.generations[slot as usize] = self.generations[slot as usize].wrapping_add(1);
-        self.free_slots.push(slot);
-        self.live_pending -= 1;
-        self.now = time;
-        self.popped += 1;
     }
 
     /// Pop the earliest pending event, advancing `now` to its timestamp.
     /// Returns `None` when the queue is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        // The head-liveness invariant means the first pop is the answer;
-        // the loop is defense in depth (and self-healing in release).
-        self.wheel.ensure_front();
-        while let Some(ev) = self.wheel.pop_front() {
-            if !self.is_live(ev.slot, ev.generation) {
-                debug_assert!(false, "cancelled event at queue head");
-                self.wheel.ensure_front();
-                continue;
-            }
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.retire(ev.slot, ev.time);
-            self.prune();
-            return Some((ev.time, ev.event));
-        }
-        None
+        let (time, event) = self.wheel.pop()?;
+        debug_assert!(time >= self.now, "time went backwards");
+        self.now = time;
+        self.popped += 1;
+        Some((time, event))
     }
 
-    /// Drain every live event sharing the head timestamp into `out`
-    /// (appending), without retiring them. Returns the number appended;
-    /// zero means the queue is exhausted.
-    ///
-    /// Each drained [`PendingFire`] must go through [`Self::commit`]
-    /// before being handled: a handler running earlier in the batch may
-    /// cancel a later entry, and `commit` is what detects that. Events
-    /// scheduled *into* the batch timestamp by handlers are not part of
-    /// this drain — they surface on the next `pop_batch` call, in FIFO
-    /// order, exactly as a pop-per-event loop would see them.
-    pub fn pop_batch(&mut self, out: &mut Vec<PendingFire<E>>) -> usize {
-        self.wheel.ensure_front();
-        let head_time = match self.wheel.peek() {
-            Some(e) => e.time,
-            None => return 0,
-        };
-        // Every entry at the head timestamp is contiguous in the wheel's
-        // front (they all sit below the front limit), so the drain is a
-        // straight run of pop_fronts with no refill in between.
-        let mut drained = 0;
-        while let Some(e) = self.wheel.peek() {
-            if e.time != head_time {
-                break;
-            }
-            let e = self.wheel.pop_front().expect("peeked entry");
-            if self.is_live(e.slot, e.generation) {
-                out.push(PendingFire {
-                    time: e.time,
-                    slot: e.slot,
-                    generation: e.generation,
-                    event: e.event,
-                });
-                drained += 1;
-            }
-            // Dead entries were already uncounted at cancel time; discard
-            // them on the way past.
-        }
-        self.prune();
-        drained
+    /// Timestamp of the next pending event without popping it. `&mut`
+    /// because it may refill the wheel's front.
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.wheel.peek_time()
     }
 
-    /// Commit one batch-drained event just before handling it: re-checks
-    /// liveness, retires the slot, advances `now`, and counts the pop.
-    /// Returns `false` if the event was cancelled after the drain (by an
-    /// earlier handler in the same batch) — the caller must skip it.
-    pub fn commit(&mut self, fire: &PendingFire<E>) -> bool {
-        if !self.is_live(fire.slot, fire.generation) {
-            return false;
-        }
-        debug_assert!(fire.time >= self.now, "time went backwards");
-        self.retire(fire.slot, fire.time);
-        true
-    }
-
-    /// Timestamp of the next pending event without popping it. `&self`:
-    /// the head is never cancelled (pruned eagerly on `cancel`/`pop`), so
-    /// no draining is needed to answer accurately.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.wheel.peek().map(|head| {
-            debug_assert!(self.is_live(head.slot, head.generation));
-            head.time
-        })
+    /// Audit support: the number of events reachable by walking every
+    /// container of the wheel (front, bucket lists, spill). Equals
+    /// [`Self::len`] unless the wheel's links are corrupt. O(pending + 1024).
+    #[doc(hidden)]
+    pub fn reachable(&self) -> usize {
+        self.wheel.reachable()
     }
 
     /// Test support: pin a slot's generation stamp directly, to exercise
     /// wrap-around without 2^64 organic reuses. Not for production use.
     #[doc(hidden)]
     pub fn force_generation(&mut self, slot: u32, generation: u64) {
-        self.generations[slot as usize] = generation;
+        self.wheel.force_generation(slot, generation);
+    }
+
+    /// Test support: overwrite the cancelled-event counter, to prove an
+    /// audit of `scheduled == popped + cancelled + len` is live. Not for
+    /// production use.
+    #[doc(hidden)]
+    pub fn force_cancelled(&mut self, cancelled: u64) {
+        self.cancelled = cancelled;
     }
 }
 
@@ -692,14 +514,14 @@ mod tests {
         let a = q.schedule(SimTime::from_nanos(1), ());
         q.schedule(SimTime::from_nanos(2), ());
         q.cancel(a);
-        // peek_time is &self: the cancelled head was pruned eagerly.
+        // The cancelled head was unlinked, not left for peek to skip.
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(2)));
     }
 
     #[test]
     fn peek_time_sees_buried_cancellation() {
-        // Cancel an event that is NOT the head; it surfaces only after the
-        // head pops, and the post-pop prune must keep peek_time accurate.
+        // Cancel an event that is NOT the head: it is unlinked from the
+        // middle of the queue, so peek_time after the head pops skips it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_nanos(1), "head");
         let buried = q.schedule(SimTime::from_nanos(2), "buried");
@@ -745,11 +567,11 @@ mod tests {
         // the wrap itself: tokens stamped MAX-1 and MAX must die on
         // fire/cancel, and the post-wrap stamp (0) must not resurrect
         // them. Reaching u64::MAX takes 2^64 reuses organically; pin the
-        // side table directly (tests share the module, fields are ours).
+        // slot's stamp directly.
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_nanos(1), "seed");
         q.cancel(a); // slot 0 freed
-        q.generations[0] = u64::MAX - 1;
+        q.force_generation(0, u64::MAX - 1);
         let b = q.schedule(SimTime::from_nanos(2), "near-max");
         assert_eq!(b.generation, u64::MAX - 1);
         q.cancel(b); // bumps to u64::MAX
@@ -805,78 +627,22 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_exactly_the_head_timestamp() {
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(10);
-        for i in 0..5 {
-            q.schedule(t, i);
-        }
-        q.schedule(SimTime::from_nanos(11), 99);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 5);
-        assert_eq!(batch.len(), 5);
-        // Drained but uncommitted events are still pending for len().
-        assert_eq!(q.len(), 6);
-        assert_eq!(q.popped(), 0);
-        for (i, fire) in batch.drain(..).enumerate() {
-            assert!(q.commit(&fire));
-            assert_eq!(fire.time, t);
-            assert_eq!(fire.event, i as i32);
-            assert_eq!(q.now(), t);
-        }
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.popped(), 5);
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        assert_eq!(batch[0].event, 99);
-    }
-
-    #[test]
-    fn pop_batch_commit_detects_mid_batch_cancellation() {
-        // A handler for the first event of a tick cancels the second: the
-        // second was already drained, so its commit must fail and all
-        // counters must match what a pop-per-event loop would report.
+    fn same_tick_cancel_after_a_pop_skips_the_victim() {
+        // A handler for the first event of a tick cancels the second (the
+        // classic same-tick RTO re-arm): the next pop must return the third,
+        // at the same instant, and every counter must agree.
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(7);
-        q.schedule(t, "first");
-        let victim = q.schedule(t, "second");
-        q.schedule(t, "third");
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 3);
-        let mut fired = Vec::new();
-        for fire in batch.drain(..) {
-            if fire.event == "first" {
-                q.cancel(victim); // handler side effect
-            }
-            if q.commit(&fire) {
-                fired.push(fire.event);
-            }
-        }
-        assert_eq!(fired, vec!["first", "third"]);
-        assert_eq!(q.popped(), 2);
-        assert!(q.is_empty());
+        q.schedule(t, "a");
+        let b = q.schedule(t, "b");
+        q.schedule(t, "c");
+        assert_eq!(q.pop(), Some((t, "a")));
+        q.cancel(b);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t, "c")));
+        assert_eq!(q.pop(), None);
         assert_eq!(q.now(), t);
-    }
-
-    #[test]
-    fn pop_batch_same_tick_reschedule_lands_in_next_batch() {
-        // Events scheduled at the batch timestamp by a handler fire in the
-        // same tick but after the drained run — FIFO by sequence, exactly
-        // like the serial loop.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_nanos(42);
-        q.schedule(t, 0);
-        let mut batch = Vec::new();
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        let fire = batch.pop().unwrap();
-        assert!(q.commit(&fire));
-        q.schedule(t, 1); // same-tick follow-up from the handler
-        assert_eq!(q.pop_batch(&mut batch), 1);
-        let fire = batch.pop().unwrap();
-        assert_eq!(fire.time, t);
-        assert_eq!(fire.event, 1);
-        assert!(q.commit(&fire));
-        assert_eq!(q.pop_batch(&mut batch), 0);
-        assert_eq!(q.popped(), 2);
+        assert_eq!((q.scheduled(), q.popped(), q.cancelled()), (3, 2, 1));
     }
 
     #[test]
@@ -894,11 +660,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_all_into_sorted_front_keeps_order() {
+    fn schedule_all_into_the_front_keeps_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(100), 0);
-        q.schedule(SimTime::from_nanos(300), 9);
-        assert!(q.pop().is_some()); // front now holds 300 with a far limit
+        q.schedule(SimTime::from_nanos(200), 0);
+        q.schedule(SimTime::from_nanos(203), 9);
+        assert!(q.pop().is_some()); // front now holds 203, limit 208
         q.schedule_all(SimTime::from_nanos(200), 1..3);
         q.schedule_all(SimTime::from_nanos(200), 3..5);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();

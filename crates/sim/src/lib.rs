@@ -7,9 +7,9 @@
 //!   convenience constructors and Gbps/cycles arithmetic helpers,
 //! * [`EventQueue`] — a priority queue of timestamped events with
 //!   deterministic FIFO tie-breaking for events scheduled at the same
-//!   instant, backed by a hierarchical timer wheel with batched same-tick
-//!   dispatch ([`HeapEventQueue`] keeps the old binary heap around as the
-//!   differential-testing oracle and benchmark baseline),
+//!   instant, backed by a slab-based hierarchical timer wheel with O(1)
+//!   cancellation ([`HeapEventQueue`] keeps the old binary heap around as
+//!   the differential-testing oracle and benchmark baseline),
 //! * [`SimRng`] — a small, fast, seedable PRNG (SplitMix64 seeded
 //!   xoshiro256++) so simulations are bit-reproducible across platforms,
 //! * [`stats`] — streaming counters, mean/variance accumulators, and
@@ -28,7 +28,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{EventQueue, HeapEventQueue, PendingFire, ScheduledEvent};
+pub use event::{EventQueue, HeapEventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use stats::{Counter, Histogram, MeanVar, Percentiles};
 pub use time::{Duration, SimTime};

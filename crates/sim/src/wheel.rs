@@ -3,59 +3,68 @@
 //! A binary heap pays an O(log n) sift on every push and pop; at
 //! million-flow scale those sifts dominate the engine's cycle budget the
 //! same way per-skb bookkeeping dominates the kernel's. The wheel replaces
-//! them with O(1) bucket pushes and amortized-O(1) pops:
+//! them with O(1) bucket links and amortized-O(1) pops, in the style of
+//! Varghese & Lauck's hierarchical timing wheels (SOSP '87):
 //!
-//! * **Front** — a `VecDeque` holding, in sorted `(time, seq)` order, every
-//!   pending entry with `time < front_limit`. The queue head is always
-//!   `front[0]`, so peeking is a field read and popping is `pop_front`.
-//! * **Four wheel levels** of 256 buckets each. Level 0 buckets are 8 ns
-//!   wide (`time >> 3`), and each higher level is 256× coarser
-//!   (`time >> 11`, `time >> 19`, `time >> 27`), giving windows of
-//!   ~2.05 µs, ~524 µs, ~134 ms and ~34.4 s ahead of the consumed edge. A
-//!   per-level 256-bit occupancy bitmap finds the next non-empty bucket in
-//!   a handful of word scans.
-//! * **Spill** — entries beyond the level-3 window (≳34 s ahead) land in a
-//!   lazily-sorted vector and migrate into the wheels once the consumed
-//!   edge draws near enough. Such far timers are vanishingly rare in a
-//!   seconds-scale simulation, so the spill stays small and its sort
-//!   amortizes away.
+//! * **Slab** — every pending event lives in exactly one slab node, at the
+//!   slot index its [`crate::event::EventToken`] carries. Nodes never
+//!   move: buckets, the front and the spill refer to them by slot index,
+//!   so a cascade relinks a node instead of copying it, and
+//!   `remove` (cancellation) unlinks it in O(1). No dead entry is ever
+//!   stored, so the live count *is* the stored count. Vacant slots form a
+//!   LIFO free list threaded through `next`.
+//! * **Front** — the slots of the one level-0 bucket being drained, each
+//!   with its `(time, seq)` key copied alongside, sorted descending so the
+//!   head pops off the back. The front is refilled only when a pop (or
+//!   peek) finds it empty, so it holds one bucket's entries plus the
+//!   pushes that land below its limit, never a run of later buckets.
+//! * **Four wheel levels** of 256 buckets each; a bucket is an intrusive
+//!   doubly linked list of slots. Level 0 buckets are 8 ns wide
+//!   (`time >> 3`), and each higher level is 256× coarser (`time >> 11`,
+//!   `time >> 19`, `time >> 27`), giving windows of ~2.05 µs, ~524 µs,
+//!   ~134 ms and ~34.4 s ahead of the consumed edge. A per-level 256-bit
+//!   occupancy bitmap finds the next non-empty bucket in a handful of word
+//!   scans.
+//! * **Spill** — entries beyond the level-3 window (≳34 s ahead) sit on one
+//!   unsorted list and migrate into the wheels once the consumed edge draws
+//!   near enough. Such far timers are vanishingly rare in a seconds-scale
+//!   simulation, so walking the list on migration stays cheap.
 //!
 //! # Cursors and the placement rule
 //!
 //! `cur[l]` is the *absolute* index of the next unconsumed bucket at level
-//! `l` (not masked). An entry at time `t` goes to the smallest level `l`
-//! with `(t >> shift(l)) < cur[l] + 256`, else to the spill. Because the
-//! windows are anchored at the consumed edge rather than at `now`, the rule
-//! is collision-proof: an entry can never land in a bucket that has already
-//! been consumed or cascaded (see the invariants below).
+//! `l` (not masked). An entry at time `t` goes to the front if
+//! `t < front_limit` (`front_limit = cur[0] << SHIFT0`), else to the
+//! smallest level `l` with `(t >> shift(l)) < cur[l] + 256`, else to the
+//! spill. Because the windows are anchored at the consumed edge rather than
+//! at `now`, the rule is collision-proof: an entry can never land in a
+//! bucket that has already been consumed or cascaded (see the invariants
+//! below).
 //!
 //! # Refill and cascade
 //!
-//! When the front runs dry, `ensure_front` performs refill steps. Each step
-//! compares the earliest non-empty level-0 bucket `a0` against the
-//! *boundaries* of the earliest non-empty coarser buckets
-//! (`b_l << 8l`, in level-0 bucket units). The coarsest level whose
-//! boundary is ≤ `a0` and ≤ every finer boundary cascades first — its
-//! entries redistribute into lower levels — so nothing at a lower level is
-//! consumed while a coarser bucket still covers the same span. Only then is
-//! bucket `a0` sorted and appended to the front, advancing `cur[0]` (and
-//! hence `front_limit`) past it.
+//! When a pop finds the front empty, `refill` performs refill steps. Each
+//! step compares the earliest non-empty level-0 bucket `a0` against the
+//! *boundaries* of the earliest non-empty coarser buckets (`b_l << 8l`, in
+//! level-0 bucket units). The coarsest level whose boundary is ≤ `a0` and ≤
+//! every finer boundary cascades first — its slots relink into lower
+//! levels — so nothing at a lower level is consumed while a coarser bucket
+//! still covers the same span. Only then does bucket `a0` become the front,
+//! sorted, advancing `cur[0]` (and hence `front_limit`) past it. Sorting is
+//! what restores FIFO order between same-time entries that reached the
+//! bucket by different routes (one cascaded, one pushed directly).
 //!
 //! # Invariants
 //!
-//! 1. Every entry outside the front has `time >= front_limit`
-//!    (`front_limit = cur[0] << SHIFT0`), hence `time >> SHIFT0 >= cur[0]`.
+//! 1. Every entry outside the front has `time >= front_limit`, hence
+//!    `time >> SHIFT0 >= cur[0]`; every entry in the front has
+//!    `time < front_limit`.
 //! 2. `cur[l+1] <= (cur[l] >> 8) + 1` for every adjacent level pair: an
 //!    entry that misses a level's window always fits the next one.
-//! 3. The front is sorted ascending by `(time, seq)` and, together with
-//!    invariant 1, holds *all* pending entries below `front_limit` — so all
-//!    same-timestamp entries are contiguous at the head, which is what
-//!    makes batched same-tick dispatch a simple run of `pop_front`s.
-//!
-//! The wheel knows nothing about cancellation; generation liveness lives in
-//! [`crate::EventQueue`], which discards dead entries as they surface.
-
-use std::collections::VecDeque;
+//! 3. The front is sorted descending by `(time, seq)`. With invariant 1,
+//!    its last element is the earliest pending entry.
+//! 4. A level's occupancy bit is set iff its bucket list is non-empty, and
+//!    every node's `loc` names the container whose list (or front) holds it.
 
 use crate::time::SimTime;
 
@@ -63,63 +72,73 @@ use crate::time::SimTime;
 pub(crate) const SLOTS: usize = 256;
 /// log2 of a level-0 bucket width in nanoseconds (8 ns). Kept small so a
 /// level-0 bucket holds few entries even under dense event storms: the
-/// per-bucket sort in `consume_l0` is the wheel's only comparison cost,
-/// and small buckets keep it in the sorter's cheap insertion-sort regime.
+/// front sort is the wheel's only comparison cost, and small buckets keep
+/// it in the sorter's cheap insertion-sort regime.
 pub(crate) const SHIFT0: u32 = 3;
 /// Bits added per level (each level is 256× coarser).
 const LEVEL_BITS: u32 = 8;
 /// Number of wheel levels before the spill list takes over.
 pub(crate) const LEVELS: usize = 4;
 
+/// Null slot link.
+const NIL: u32 = u32::MAX;
+/// `Node::loc` of a vacant slot (on the free list).
+const VACANT: u16 = u16::MAX;
+/// `Node::loc` of an entry in the front.
+const FRONT: u16 = u16::MAX - 1;
+/// `Node::loc` of an entry on the spill list.
+const SPILL: u16 = u16::MAX - 2;
+
 #[inline]
 fn level_shift(level: usize) -> u32 {
     SHIFT0 + LEVEL_BITS * level as u32
 }
 
-/// A stored event: timestamp, FIFO tie-break, generation stamp, payload.
-#[derive(Debug)]
-pub(crate) struct WheelEntry<E> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) slot: u32,
-    pub(crate) generation: u64,
-    pub(crate) event: E,
+/// One slab slot: a pending event with its links, or a vacant slot on the
+/// free list (`loc == VACANT`, `event == None`).
+struct Node<E> {
+    /// Fire time in nanoseconds.
+    time: u64,
+    /// FIFO tie-break among same-time entries.
+    seq: u64,
+    /// Bumped whenever the slot's event fires or is cancelled, so a token
+    /// stamped with an older generation is dead.
+    generation: u64,
+    /// Next slot in this node's bucket or spill list (or the free list).
+    next: u32,
+    /// Previous slot in this node's bucket or spill list; `NIL` at the
+    /// list head.
+    prev: u32,
+    /// `level * SLOTS + bucket`, or `FRONT`, `SPILL` or `VACANT`.
+    loc: u16,
+    event: Option<E>,
 }
 
-impl<E> WheelEntry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-/// One wheel level: 256 buckets, a 256-bit occupancy bitmap, and the
-/// absolute index of the next unconsumed bucket.
-struct Level<E> {
-    buckets: Vec<Vec<WheelEntry<E>>>,
+/// One wheel level: 256 bucket list heads, a 256-bit occupancy bitmap,
+/// and the absolute index of the next unconsumed bucket.
+struct Level {
+    heads: [u32; SLOTS],
     occupied: [u64; 4],
     cur: u64,
 }
 
-impl<E> Level<E> {
+impl Level {
     fn new() -> Self {
         Level {
-            buckets: (0..SLOTS).map(|_| Vec::new()).collect(),
+            heads: [NIL; SLOTS],
             occupied: [0; 4],
             cur: 0,
         }
     }
 
     #[inline]
-    fn mark(&mut self, abs: u64) {
-        let i = (abs as usize) & (SLOTS - 1);
-        self.occupied[i / 64] |= 1u64 << (i % 64);
+    fn mark(&mut self, idx: usize) {
+        self.occupied[idx / 64] |= 1u64 << (idx % 64);
     }
 
     #[inline]
-    fn clear(&mut self, abs: u64) {
-        let i = (abs as usize) & (SLOTS - 1);
-        self.occupied[i / 64] &= !(1u64 << (i % 64));
+    fn clear(&mut self, idx: usize) {
+        self.occupied[idx / 64] &= !(1u64 << (idx % 64));
     }
 
     /// Absolute index of the earliest non-empty bucket, or `None` if the
@@ -151,15 +170,53 @@ impl<E> Level<E> {
     }
 }
 
-/// Hierarchical timer wheel storing [`WheelEntry`]s in `(time, seq)` order.
+/// A front entry: a slot with its `(time, seq)` key copied alongside, so
+/// sorting, ranked inserts and pops never chase a slab index.
+#[derive(Clone, Copy)]
+struct FrontEntry {
+    time: u64,
+    seq: u64,
+    slot: u32,
+}
+
+impl FrontEntry {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.seq)
+    }
+}
+
+/// Push `slot` at the head of the intrusive list rooted at `head`.
+#[inline]
+fn link<E>(slab: &mut [Node<E>], head: &mut u32, slot: u32, loc: u16) {
+    let old = *head;
+    let n = &mut slab[slot as usize];
+    n.prev = NIL;
+    n.next = old;
+    n.loc = loc;
+    if old != NIL {
+        slab[old as usize].prev = slot;
+    }
+    *head = slot;
+}
+
+/// Hierarchical timer wheel over a slab of events, popping in
+/// `(time, seq)` order.
 pub(crate) struct TimerWheel<E> {
-    front: VecDeque<WheelEntry<E>>,
-    levels: [Level<E>; LEVELS],
-    spill: Vec<WheelEntry<E>>,
-    /// True when `spill` is sorted descending by `(time, seq)` (so the
-    /// earliest entries pop off the back during migration).
-    spill_sorted: bool,
-    /// Minimum time (ns) present in `spill`; `u64::MAX` when empty.
+    slab: Vec<Node<E>>,
+    /// Head of the vacant-slot free list (LIFO).
+    free: u32,
+    /// Pending entries (front + levels + spill).
+    live: usize,
+    /// Slots of the level-0 bucket being drained, plus pushes that landed
+    /// below `front_limit`, sorted descending by `(time, seq)`.
+    front: Vec<FrontEntry>,
+    levels: [Level; LEVELS],
+    /// Head of the spill list.
+    spill: u32,
+    /// Lower bound (ns) on the spill's earliest entry; exact right after a
+    /// migration walk. Cancellation may leave it stale-low, which only
+    /// costs an early walk.
     spill_min: u64,
     /// Conservative lower bound (in level-0 bucket units) on the earliest
     /// occupied coarse-level bucket boundary. While the next level-0
@@ -167,28 +224,26 @@ pub(crate) struct TimerWheel<E> {
     /// coarse bitmap scans entirely — the common case when events cluster
     /// near `now`. Pushes lower it; cascades zero it to force a rescan.
     coarse_min: u64,
-    /// Total stored entries (front + levels + spill), live or dead.
-    stored: usize,
 }
 
 impl<E> TimerWheel<E> {
     pub(crate) fn new() -> Self {
         TimerWheel {
-            front: VecDeque::new(),
+            slab: Vec::new(),
+            free: NIL,
+            live: 0,
+            front: Vec::new(),
             levels: std::array::from_fn(|_| Level::new()),
-            spill: Vec::new(),
-            spill_sorted: true,
+            spill: NIL,
             spill_min: u64::MAX,
             coarse_min: u64::MAX,
-            stored: 0,
         }
     }
 
-    /// Total stored entries, including dead (cancelled) ones not yet
-    /// discarded.
-    #[cfg(test)]
-    pub(crate) fn stored(&self) -> usize {
-        self.stored
+    /// Pending entries.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.live
     }
 
     /// Everything below this time lives in the front.
@@ -197,104 +252,128 @@ impl<E> TimerWheel<E> {
         self.levels[0].cur << SHIFT0
     }
 
-    /// The earliest stored entry, provided the front has been refilled
-    /// (see [`Self::ensure_front`]).
-    #[inline]
-    pub(crate) fn peek(&self) -> Option<&WheelEntry<E>> {
-        self.front.front()
-    }
-
-    /// Remove and return the earliest entry. The caller is responsible for
-    /// calling [`Self::ensure_front`] afterwards if it needs the next head.
-    #[inline]
-    pub(crate) fn pop_front(&mut self) -> Option<WheelEntry<E>> {
-        let e = self.front.pop_front()?;
-        self.stored -= 1;
-        Some(e)
-    }
-
-    /// Insert one entry.
-    pub(crate) fn push(&mut self, e: WheelEntry<E>) {
-        self.stored += 1;
-        self.sync_cursors();
-        if e.time.as_nanos() < self.front_limit() {
-            let key = e.key();
-            let pos = self.front.partition_point(|x| x.key() < key);
-            self.front.insert(pos, e);
+    /// Store `event` at `time` with tie-break `seq`, returning its slot and
+    /// the generation stamped on it.
+    pub(crate) fn insert(&mut self, time: SimTime, seq: u64, event: E) -> (u32, u64) {
+        let slot = if self.free != NIL {
+            let s = self.free;
+            let n = &mut self.slab[s as usize];
+            self.free = n.next;
+            n.time = time.as_nanos();
+            n.seq = seq;
+            n.event = Some(event);
+            s
         } else {
-            self.place_in_levels(e);
-        }
+            self.slab.push(Node {
+                time: time.as_nanos(),
+                seq,
+                generation: 0,
+                next: NIL,
+                prev: NIL,
+                loc: VACANT,
+                event: Some(event),
+            });
+            (self.slab.len() - 1) as u32
+        };
+        self.live += 1;
+        self.place(slot);
+        (slot, self.slab[slot as usize].generation)
     }
 
-    /// Bulk-insert entries that all share one timestamp: the placement
-    /// (bucket, front position, or spill) is computed once and the whole
-    /// run lands together. Entries must arrive in ascending `seq` order.
-    pub(crate) fn push_same_time<I>(&mut self, time: SimTime, entries: I)
-    where
-        I: IntoIterator<Item = WheelEntry<E>>,
-    {
-        self.sync_cursors();
-        let t = time.as_nanos();
-        if t < self.front_limit() {
-            // All new seqs exceed every stored seq, so the run inserts as a
-            // contiguous block right after any same-time entries.
-            let start = self.front.partition_point(|x| x.time <= time);
-            for (pos, e) in (start..).zip(entries) {
-                debug_assert_eq!(e.time, time);
-                self.front.insert(pos, e);
-                self.stored += 1;
+    /// Unlink and drop the entry in `slot` if it still carries
+    /// `generation`. Returns false for a vacant slot, a stale generation or
+    /// an out-of-range slot.
+    pub(crate) fn remove(&mut self, slot: u32, generation: u64) -> bool {
+        match self.slab.get(slot as usize) {
+            Some(n) if n.generation == generation && n.loc != VACANT => {}
+            _ => return false,
+        }
+        self.unlink(slot);
+        self.release(slot);
+        true
+    }
+
+    /// Remove and return the earliest entry.
+    pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.refill() {
+            return None;
+        }
+        let head = self.front.pop().expect("refilled front");
+        let event = self.slab[head.slot as usize]
+            .event
+            .take()
+            .expect("pending slot holds an event");
+        self.release(head.slot);
+        Some((SimTime::from_nanos(head.time), event))
+    }
+
+    /// Time of the earliest entry, refilling the front if needed.
+    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
+        if !self.refill() {
+            return None;
+        }
+        let head = self.front.last().expect("refilled front");
+        Some(SimTime::from_nanos(head.time))
+    }
+
+    /// Pin a slot's generation stamp (test support).
+    pub(crate) fn force_generation(&mut self, slot: u32, generation: u64) {
+        self.slab[slot as usize].generation = generation;
+    }
+
+    /// Count the entries reachable by walking the front, every bucket list
+    /// and the spill. Equals [`Self::len`] unless a list is corrupt.
+    pub(crate) fn reachable(&self) -> usize {
+        let walk = |mut s: u32| {
+            let mut n = 0;
+            while s != NIL {
+                n += 1;
+                s = self.slab[s as usize].next;
             }
+            n
+        };
+        let buckets: usize = self
+            .levels
+            .iter()
+            .flat_map(|level| level.heads.iter())
+            .map(|&head| walk(head))
+            .sum();
+        self.front.len() + buckets + walk(self.spill)
+    }
+
+    /// Vacate `slot`: bump its generation and push it on the free list.
+    #[inline]
+    fn release(&mut self, slot: u32) {
+        let n = &mut self.slab[slot as usize];
+        n.generation = n.generation.wrapping_add(1);
+        n.loc = VACANT;
+        n.event = None;
+        n.next = self.free;
+        self.free = slot;
+        self.live -= 1;
+    }
+
+    /// Link `slot` into the container its time belongs to, per the
+    /// placement rule.
+    fn place(&mut self, slot: u32) {
+        let t = self.slab[slot as usize].time;
+        if t < self.front_limit() {
+            self.front_insert(slot);
             return;
         }
-        let target = self.levels.iter().enumerate().find_map(|(l, level)| {
+        for l in 0..LEVELS {
             let abs = t >> level_shift(l);
-            (abs < level.cur + SLOTS as u64).then_some((l, abs))
-        });
-        match target {
-            Some((l, abs)) => {
-                debug_assert!(abs >= self.levels[l].cur);
-                let idx = (abs as usize) & (SLOTS - 1);
-                let before = self.levels[l].buckets[idx].len();
-                for e in entries {
-                    debug_assert_eq!(e.time, time);
-                    self.levels[l].buckets[idx].push(e);
-                    self.stored += 1;
-                }
-                if self.levels[l].buckets[idx].len() > before {
-                    self.levels[l].mark(abs);
-                    if l > 0 {
-                        let boundary = abs << (LEVEL_BITS * l as u32);
-                        self.coarse_min = self.coarse_min.min(boundary);
-                    }
-                }
-            }
-            None => {
-                for e in entries {
-                    debug_assert_eq!(e.time, time);
-                    self.push_spill(e);
-                    self.stored += 1;
-                }
-            }
-        }
-    }
-
-    /// Refill the front until it holds the queue head (or the wheel is
-    /// truly empty). Amortized O(1) per stored entry: each entry cascades
-    /// at most twice and is sorted into the front exactly once.
-    pub(crate) fn ensure_front(&mut self) {
-        while self.front.is_empty() && self.stored > 0 && self.refill_once() {}
-    }
-
-    /// Smallest level whose window covers `t`, per the placement rule.
-    fn place_in_levels(&mut self, e: WheelEntry<E>) {
-        let t = e.time.as_nanos();
-        for (l, level) in self.levels.iter_mut().enumerate() {
-            let abs = t >> level_shift(l);
+            let level = &mut self.levels[l];
             if abs < level.cur + SLOTS as u64 {
                 debug_assert!(abs >= level.cur, "entry behind consumed edge");
                 let idx = (abs as usize) & (SLOTS - 1);
-                level.buckets[idx].push(e);
-                level.mark(abs);
+                link(
+                    &mut self.slab,
+                    &mut level.heads[idx],
+                    slot,
+                    (l * SLOTS + idx) as u16,
+                );
+                level.mark(idx);
                 if l > 0 {
                     let boundary = abs << (LEVEL_BITS * l as u32);
                     self.coarse_min = self.coarse_min.min(boundary);
@@ -302,23 +381,71 @@ impl<E> TimerWheel<E> {
                 return;
             }
         }
-        self.push_spill(e);
+        self.spill_min = if self.spill == NIL {
+            t
+        } else {
+            self.spill_min.min(t)
+        };
+        link(&mut self.slab, &mut self.spill, slot, SPILL);
     }
 
-    fn push_spill(&mut self, e: WheelEntry<E>) {
-        let t = e.time.as_nanos();
-        if let Some(last) = self.spill.last() {
-            if self.spill_sorted && last.key() < e.key() {
-                self.spill_sorted = false;
+    /// Insert `slot` into the descending front at its `(time, seq)` rank.
+    fn front_insert(&mut self, slot: u32) {
+        let n = &mut self.slab[slot as usize];
+        n.loc = FRONT;
+        let e = FrontEntry {
+            time: n.time,
+            seq: n.seq,
+            slot,
+        };
+        let pos = self.front.partition_point(|x| x.key() > e.key());
+        self.front.insert(pos, e);
+    }
+
+    /// Detach `slot` from whichever container holds it.
+    fn unlink(&mut self, slot: u32) {
+        let n = &self.slab[slot as usize];
+        let (prev, next, loc) = (n.prev, n.next, n.loc);
+        if loc == FRONT {
+            let key = (n.time, n.seq);
+            let pos = self.front.partition_point(|x| x.key() > key);
+            debug_assert_eq!(self.front[pos].slot, slot);
+            self.front.remove(pos);
+            return;
+        }
+        if next != NIL {
+            self.slab[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.slab[prev as usize].next = next;
+        } else if loc == SPILL {
+            self.spill = next;
+        } else {
+            let (l, idx) = (loc as usize / SLOTS, loc as usize % SLOTS);
+            self.levels[l].heads[idx] = next;
+            if next == NIL {
+                self.levels[l].clear(idx);
             }
         }
-        self.spill_min = self.spill_min.min(t);
-        self.spill.push(e);
+    }
+
+    /// Make the front hold the earliest entry. Returns false when the
+    /// wheel is empty. Amortized O(1) per stored entry: each entry cascades
+    /// at most `LEVELS - 1` times and is sorted into the front once.
+    #[inline]
+    fn refill(&mut self) -> bool {
+        while self.front.is_empty() {
+            if self.live == 0 || !self.refill_once() {
+                return false;
+            }
+        }
+        true
     }
 
     /// Keep the coarser cursors abreast of the consumed edge so the
-    /// placement windows track it: no entry below `front_limit` is stored,
-    /// so no occupied coarse bucket can be skipped by this advance.
+    /// placement windows track it. Called whenever `cur[0]` advances: no
+    /// entry below `front_limit` is stored outside the front, so no
+    /// occupied coarse bucket can be skipped by this advance.
     fn sync_cursors(&mut self) {
         // Each coarse cursor advances from `cur[0]` directly (not from the
         // next-finer cursor, which may sit one bucket *past* its own
@@ -337,7 +464,6 @@ impl<E> TimerWheel<E> {
     /// bucket, or re-anchor onto the spill. Returns false when nothing
     /// remains outside the front.
     fn refill_once(&mut self) -> bool {
-        self.sync_cursors();
         self.migrate_spill();
         let a0 = self.levels[0].next_occupied();
         // Fast path: the next level-0 bucket lies strictly before every
@@ -374,7 +500,7 @@ impl<E> TimerWheel<E> {
             self.coarse_min = min_boundary;
             self.consume_l0(a0);
             true
-        } else if !self.spill.is_empty() {
+        } else if self.spill != NIL {
             self.reanchor_to_spill();
             self.coarse_min = 0;
             true
@@ -383,7 +509,15 @@ impl<E> TimerWheel<E> {
         }
     }
 
-    /// Redistribute bucket `b` of level `l` into finer levels. The caller
+    /// Detach bucket `idx` of level `l`, returning its list head.
+    #[inline]
+    fn take_bucket(&mut self, l: usize, idx: usize) -> u32 {
+        let level = &mut self.levels[l];
+        level.clear(idx);
+        std::mem::replace(&mut level.heads[idx], NIL)
+    }
+
+    /// Relink bucket `b` of level `l` into finer levels. The caller
     /// guarantees no finer-level bucket before `b`'s boundary is occupied,
     /// so advancing the finer cursor to the boundary skips only empties.
     fn cascade(&mut self, l: usize, b: u64) {
@@ -394,37 +528,44 @@ impl<E> TimerWheel<E> {
         if l - 1 == 0 {
             self.sync_cursors();
         }
-        let idx = (b as usize) & (SLOTS - 1);
-        let mut v = std::mem::take(&mut self.levels[l].buckets[idx]);
-        self.levels[l].clear(b);
+        let mut s = self.take_bucket(l, (b as usize) & (SLOTS - 1));
         self.levels[l].cur = b + 1;
-        for e in v.drain(..) {
-            self.place_in_levels(e);
+        while s != NIL {
+            let next = self.slab[s as usize].next;
+            self.place(s);
+            s = next;
         }
-        self.levels[l].buckets[idx] = v;
     }
 
-    /// Sort level-0 bucket `a0` and append it to the front, advancing the
-    /// consumed edge past it.
+    /// Make level-0 bucket `a0` the front, sorted, advancing the consumed
+    /// edge past it. The front is empty on entry.
     fn consume_l0(&mut self, a0: u64) {
-        let idx = (a0 as usize) & (SLOTS - 1);
-        let mut v = std::mem::take(&mut self.levels[0].buckets[idx]);
-        self.levels[0].clear(a0);
+        debug_assert!(self.front.is_empty());
+        let mut s = self.take_bucket(0, (a0 as usize) & (SLOTS - 1));
         self.levels[0].cur = a0 + 1;
-        v.sort_unstable_by_key(|e| e.key());
-        if let (Some(f), Some(n)) = (self.front.back(), v.first()) {
-            debug_assert!(
-                f.key() < n.key(),
-                "bucket entries must follow the existing front"
-            );
+        self.sync_cursors();
+        while s != NIL {
+            let n = &mut self.slab[s as usize];
+            n.loc = FRONT;
+            self.front.push(FrontEntry {
+                time: n.time,
+                seq: n.seq,
+                slot: s,
+            });
+            s = n.next;
         }
-        self.front.extend(v.drain(..));
-        self.levels[0].buckets[idx] = v;
+        // Lists link at the head, so direct pushes arrive newest first: a
+        // bucket filled in FIFO order is already descending.
+        if self.front.len() > 1 {
+            self.front
+                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
+        }
     }
 
-    /// Pull spill entries whose top-level bucket has come within the window.
+    /// Relink spill entries whose top-level bucket has come within the
+    /// window, recomputing the exact minimum of those that stay.
     fn migrate_spill(&mut self) {
-        if self.spill.is_empty() {
+        if self.spill == NIL {
             return;
         }
         let top = LEVELS - 1;
@@ -432,24 +573,24 @@ impl<E> TimerWheel<E> {
         if self.spill_min >> level_shift(top) >= horizon {
             return;
         }
-        if !self.spill_sorted {
-            self.spill
-                .sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
-            self.spill_sorted = true;
-        }
-        while let Some(last) = self.spill.last() {
-            if last.time.as_nanos() >> level_shift(top) < horizon {
-                let e = self.spill.pop().unwrap();
-                self.place_in_levels(e);
+        let mut min = u64::MAX;
+        let mut s = self.spill;
+        while s != NIL {
+            let n = &self.slab[s as usize];
+            let (next, t) = (n.next, n.time);
+            if t >> level_shift(top) < horizon {
+                self.unlink(s);
+                self.place(s);
             } else {
-                break;
+                min = min.min(t);
             }
+            s = next;
         }
-        self.spill_min = self.spill.last().map_or(u64::MAX, |e| e.time.as_nanos());
+        self.spill_min = min;
     }
 
     /// Everything but the spill is empty and the spill is still beyond the
-    /// level-2 window: jump the consumed edge to the spill minimum so
+    /// level-3 window: jump the consumed edge to the spill minimum so
     /// migration can proceed. Safe because there is nothing to skip.
     fn reanchor_to_spill(&mut self) {
         let anchor = self.spill_min >> SHIFT0;
@@ -465,27 +606,16 @@ impl<E> TimerWheel<E> {
 mod tests {
     use super::*;
 
-    fn entry(t: u64, seq: u64) -> WheelEntry<u64> {
-        WheelEntry {
-            time: SimTime::from_nanos(t),
-            seq,
-            slot: 0,
-            generation: 0,
-            event: seq,
-        }
+    fn push(w: &mut TimerWheel<u64>, t: u64, seq: u64) -> (u32, u64) {
+        w.insert(SimTime::from_nanos(t), seq, seq)
     }
 
-    /// Drain the wheel fully, returning (time, seq) pairs in pop order.
+    /// Drain the wheel fully, returning (time, seq) pairs in pop order
+    /// (each test stores its seq as the payload).
     fn drain(w: &mut TimerWheel<u64>) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        loop {
-            w.ensure_front();
-            match w.pop_front() {
-                Some(e) => out.push((e.time.as_nanos(), e.seq)),
-                None => break,
-            }
-        }
-        out
+        std::iter::from_fn(|| w.pop())
+            .map(|(t, seq)| (t.as_nanos(), seq))
+            .collect()
     }
 
     #[test]
@@ -501,7 +631,7 @@ mod tests {
             2_000_000_000_000, // spill (2000s)
         ];
         for (i, &t) in times.iter().rev().enumerate() {
-            w.push(entry(t, i as u64));
+            push(&mut w, t, i as u64);
         }
         let got: Vec<u64> = drain(&mut w).into_iter().map(|(t, _)| t).collect();
         let mut want = times.to_vec();
@@ -515,7 +645,7 @@ mod tests {
         let t = 777u64;
         // Insert with shuffled seqs; pop order must be by seq.
         for &s in &[4u64, 1, 3, 0, 2] {
-            w.push(entry(t, s));
+            push(&mut w, t, s);
         }
         let got: Vec<u64> = drain(&mut w).into_iter().map(|(_, s)| s).collect();
         assert_eq!(got, vec![0, 1, 2, 3, 4]);
@@ -547,14 +677,13 @@ mod tests {
                     3..=5 => 200_000,     // L1
                     _ => 400,             // L0
                 };
-                w.push(entry(base + next() % spread, seq));
+                push(&mut w, base + next() % spread, seq);
                 seq += 1;
                 pending += 1;
             }
             if round % 3 != 0 {
-                w.ensure_front();
-                if let Some(e) = w.pop_front() {
-                    let k = (e.time.as_nanos(), e.seq);
+                if let Some((t, s)) = w.pop() {
+                    let k = (t.as_nanos(), s);
                     assert!(k >= last, "order violated: {k:?} after {last:?}");
                     last = k;
                     pending -= 1;
@@ -570,37 +699,46 @@ mod tests {
     }
 
     #[test]
-    fn push_same_time_lands_contiguously_in_fifo_order() {
+    fn same_time_pushes_around_a_drained_front_stay_fifo() {
         let mut w = TimerWheel::new();
-        w.push(entry(100, 0));
-        w.push(entry(300, 1));
-        // Bulk insert between them, plus a bulk insert into the sorted
-        // front after a pop established a nonzero front_limit.
-        w.push_same_time(SimTime::from_nanos(200), (2..5).map(|s| entry(200, s)));
-        w.ensure_front();
-        assert_eq!(w.pop_front().map(|e| e.seq), Some(0));
-        w.push_same_time(SimTime::from_nanos(210), (5..7).map(|s| entry(210, s)));
-        let got = drain(&mut w);
+        push(&mut w, 100, 0);
+        push(&mut w, 300, 1);
+        for s in 2..5 {
+            push(&mut w, 200, s);
+        }
+        assert_eq!(w.pop().map(|(_, s)| s), Some(0));
+        // A run landing before the next bucket after the consumed edge
+        // moved, then a same-instant run behind it.
+        for s in 5..7 {
+            push(&mut w, 210, s);
+        }
+        push(&mut w, 200, 7);
         assert_eq!(
-            got,
-            vec![(200, 2), (200, 3), (200, 4), (210, 5), (210, 6), (300, 1)]
+            drain(&mut w),
+            vec![
+                (200, 2),
+                (200, 3),
+                (200, 4),
+                (200, 7),
+                (210, 5),
+                (210, 6),
+                (300, 1)
+            ]
         );
     }
 
     #[test]
     fn far_future_singleton_reanchors_without_scanning() {
         let mut w = TimerWheel::new();
-        w.push(entry(10, 0));
-        w.ensure_front();
-        assert_eq!(w.pop_front().map(|e| e.time.as_nanos()), Some(10));
+        push(&mut w, 10, 0);
+        assert_eq!(w.pop().map(|(t, _)| t.as_nanos()), Some(10));
         // An hour ahead: lands in spill, then the empty wheel re-anchors.
         let hour = 3_600_000_000_000u64;
-        w.push(entry(hour, 1));
-        w.ensure_front();
-        assert_eq!(w.peek().map(|e| e.time.as_nanos()), Some(hour));
+        push(&mut w, hour, 1);
+        assert_eq!(w.peek_time().map(|t| t.as_nanos()), Some(hour));
         // A nearer entry scheduled after the re-anchor still pops first if
         // it precedes the spill entry.
-        w.push(entry(hour - 32, 2));
+        push(&mut w, hour - 32, 2);
         let got: Vec<u64> = drain(&mut w).into_iter().map(|(_, s)| s).collect();
         assert_eq!(got, vec![2, 1]);
     }
@@ -609,8 +747,8 @@ mod tests {
     fn spill_migrates_as_the_edge_approaches() {
         let mut w = TimerWheel::new();
         let far = 100_000_000_000u64; // 100s: beyond the initial L3 window
-        w.push(entry(far, 0));
-        assert_eq!(w.spill.len(), 1);
+        push(&mut w, far, 0);
+        assert_ne!(w.spill, NIL);
         // A steady stream of near events drags the consumed edge forward;
         // the spill entry must fire at exactly its time, in order.
         let mut seq = 1u64;
@@ -618,32 +756,136 @@ mod tests {
         let mut popped = Vec::new();
         while t < far + 1_000 {
             t += 100_000_000; // 100ms steps
-            w.push(entry(t, seq));
+            push(&mut w, t, seq);
             seq += 1;
-            w.ensure_front();
-            popped.push(w.pop_front().unwrap().time.as_nanos());
+            popped.push(w.pop().unwrap().0.as_nanos());
         }
         let mut sorted = popped.clone();
         sorted.sort_unstable();
         assert_eq!(popped, sorted);
         assert!(popped.contains(&far), "spill entry never fired");
-        assert!(w.spill.is_empty());
+        assert_eq!(w.spill, NIL);
     }
 
     #[test]
-    fn stored_tracks_every_region() {
+    fn len_tracks_every_region() {
         let mut w = TimerWheel::new();
-        assert_eq!(w.stored(), 0);
-        w.push(entry(50, 0)); // L0
-        w.push(entry(400_000, 1)); // L1
-        w.push(entry(100_000_000, 2)); // L2
-        w.push(entry(9_000_000_000, 3)); // L3
-        w.push(entry(100_000_000_000, 4)); // spill
-        assert_eq!(w.stored(), 5);
-        w.ensure_front();
-        w.pop_front();
-        assert_eq!(w.stored(), 4);
+        assert_eq!(w.len(), 0);
+        push(&mut w, 50, 0); // L0
+        push(&mut w, 400_000, 1); // L1
+        push(&mut w, 100_000_000, 2); // L2
+        push(&mut w, 9_000_000_000, 3); // L3
+        push(&mut w, 100_000_000_000, 4); // spill
+        assert_eq!(w.len(), 5);
+        assert_eq!(w.reachable(), 5);
+        w.pop();
+        assert_eq!(w.len(), 4);
+        assert_eq!(w.reachable(), 4);
         assert_eq!(drain(&mut w).len(), 4);
-        assert_eq!(w.stored(), 0);
+        assert_eq!(w.len(), 0);
+        assert_eq!(w.reachable(), 0);
+    }
+
+    #[test]
+    fn cancel_from_every_region_unlinks() {
+        let mut w = TimerWheel::new();
+        // Advance the edge so the front is in play: a pop at t=1000 leaves
+        // its bucket's later entry (t=1003) in the front.
+        push(&mut w, 1_000, 0);
+        let front = push(&mut w, 1_003, 1);
+        assert_eq!(w.pop().map(|(t, _)| t.as_nanos()), Some(1_000));
+        assert_eq!(w.slab[front.0 as usize].loc, FRONT);
+        push(&mut w, 1_004, 2); // survives, in the front
+        push(&mut w, 150_000_000_000, 3); // survives, at the spill tail
+        let tokens = [
+            front,
+            push(&mut w, 1_500, 4),           // L0
+            push(&mut w, 400_000, 5),         // L1
+            push(&mut w, 100_000_000, 6),     // L2
+            push(&mut w, 9_000_000_000, 7),   // L3
+            push(&mut w, 100_000_000_000, 8), // spill, mid-list
+            push(&mut w, 200_000_000_000, 9), // spill, list head
+        ];
+        let locs: Vec<u16> = tokens
+            .iter()
+            .map(|&(s, _)| w.slab[s as usize].loc)
+            .collect();
+        assert_eq!(locs[0], FRONT);
+        for (l, &loc) in locs[1..5].iter().enumerate() {
+            assert_eq!(loc as usize / SLOTS, l, "entry {l} not at level {l}");
+        }
+        assert_eq!(&locs[5..], &[SPILL, SPILL]);
+        for &(slot, generation) in &tokens {
+            assert!(w.remove(slot, generation));
+            assert!(!w.remove(slot, generation), "double remove");
+            assert_eq!(w.reachable(), w.len());
+        }
+        assert_eq!(w.len(), 2);
+        // No bucket is left marked occupied by a removed entry.
+        for level in &w.levels {
+            for (idx, &head) in level.heads.iter().enumerate() {
+                let bit = level.occupied[idx / 64] >> (idx % 64) & 1 == 1;
+                assert_eq!(bit, head != NIL);
+            }
+        }
+        assert_eq!(drain(&mut w), vec![(1_004, 2), (150_000_000_000, 3)]);
+    }
+
+    #[test]
+    fn cascaded_entry_keeps_fifo_against_a_direct_level0_push() {
+        let mut w = TimerWheel::new();
+        // t lies beyond the level-0 window at first push (cur[0] = 0, so
+        // the window ends at 2048 ns): the entry lands in level 1.
+        let t = 3_000u64;
+        let early = push(&mut w, t, 0);
+        assert_eq!(w.slab[early.0 as usize].loc as usize / SLOTS, 1);
+        // Walk the edge forward until t is inside the level-0 window but
+        // its level-1 bucket has not cascaded yet.
+        push(&mut w, 1_500, 1);
+        assert_eq!(w.pop().map(|(_, s)| s), Some(1));
+        let late = push(&mut w, t, 2);
+        assert_eq!(w.slab[late.0 as usize].loc as usize / SLOTS, 0);
+        assert_eq!(w.slab[early.0 as usize].loc as usize / SLOTS, 1);
+        // The cascade appends the earlier entry behind the later one in the
+        // level-0 bucket; the front sort restores FIFO.
+        assert_eq!(drain(&mut w), vec![(t, 0), (t, 2)]);
+    }
+
+    #[test]
+    fn rearmed_timers_keep_the_slab_at_the_live_count() {
+        // RTO-style re-arming: 64 live timers, each cancelled and
+        // rescheduled 1 ms out while a tick event drags `now` forward 1 µs
+        // per step. None ever fires; cancelled entries must not pile up.
+        const TIMERS: usize = 64;
+        const MS: u64 = 1_000_000;
+        let mut w = TimerWheel::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut timers: Vec<(u32, u64)> = (0..TIMERS)
+            .map(|_| {
+                seq += 1;
+                w.insert(SimTime::from_nanos(MS), seq, u64::MAX)
+            })
+            .collect();
+        let mut peak = w.len();
+        for step in 0..200_000usize {
+            seq += 1;
+            w.insert(SimTime::from_nanos(now + 1_000), seq, step as u64);
+            peak = peak.max(w.len());
+            let (t, ev) = w.pop().expect("tick pending");
+            assert_eq!(ev, step as u64, "a timer fired");
+            now = t.as_nanos();
+            let k = step % TIMERS;
+            assert!(w.remove(timers[k].0, timers[k].1));
+            seq += 1;
+            timers[k] = w.insert(SimTime::from_nanos(now + MS), seq, u64::MAX);
+        }
+        assert_eq!(w.len(), TIMERS);
+        assert_eq!(w.reachable(), TIMERS);
+        assert!(
+            w.slab.capacity() <= 2 * peak + 8,
+            "slab capacity {} for a peak of {peak} live entries",
+            w.slab.capacity()
+        );
     }
 }

@@ -5,11 +5,12 @@
 //! schedules (near, mid-wheel, far-spill horizons), bulk `schedule_all`
 //! runs, cancellations of pending *and already-fired* tokens, and pops —
 //! and every observable (`pop` results, `len`, `popped`, `peek_time`,
-//! `now`) is asserted equal after every single operation. A dedicated
-//! property drives the wheel through the `pop_batch`/`commit` protocol
-//! (including handler-style mid-batch cancellation) against serial heap
-//! pops, and another pins slot generations near `u64::MAX` so wrap-around
-//! reuse is covered, not just reachable.
+//! `now`) is asserted equal after every single operation. Dedicated
+//! cancel ops aim at the two containers a random pick rarely hits: the
+//! wheel's front (the earliest pending event, right after a peek) and its
+//! spill (the latest pending event). Another property pins slot
+//! generations near `u64::MAX` so wrap-around reuse is covered, not just
+//! reachable.
 
 use hns_sim::event::EventToken;
 use hns_sim::{EventQueue, HeapEventQueue, SimTime};
@@ -19,7 +20,16 @@ use proptest::prelude::*;
 type Ops = Vec<(u64, u64, u64)>;
 
 fn ops_strategy(len: usize) -> impl Strategy<Value = Ops> {
-    proptest::collection::vec((0u64..10, any::<u64>(), any::<u64>()), 1..len)
+    proptest::collection::vec((0u64..12, any::<u64>(), any::<u64>()), 1..len)
+}
+
+/// A pending event scheduled with a token on both queues.
+#[derive(Clone, Copy)]
+struct Pending {
+    id: u64,
+    at: SimTime,
+    tw: EventToken,
+    th: EventToken,
 }
 
 /// Delay horizon by profile: exercises the front, every wheel level, and
@@ -36,16 +46,27 @@ fn horizon(profile: u64) -> u64 {
     }
 }
 
-/// Apply one op to both queues, checking pop results match. Tokens for
-/// outstanding events are kept in `live`, fired/cancelled ones in `dead`
+/// Cancel `p` on both queues and retire its tokens to `dead`.
+fn cancel_both(
+    p: Pending,
+    w: &mut EventQueue<u64>,
+    h: &mut HeapEventQueue<u64>,
+    dead: &mut Vec<(EventToken, EventToken)>,
+) {
+    w.cancel(p.tw);
+    h.cancel(p.th);
+    dead.push((p.tw, p.th));
+}
+
+/// Apply one op to both queues, checking pop results match. Outstanding
+/// tokened events are kept in `live`, fired/cancelled tokens in `dead`
 /// so stale-token cancels (always no-ops) get exercised too.
-#[allow(clippy::too_many_arguments)]
 fn apply(
     op: (u64, u64, u64),
     id: &mut u64,
     w: &mut EventQueue<u64>,
     h: &mut HeapEventQueue<u64>,
-    live: &mut Vec<(EventToken, EventToken)>,
+    live: &mut Vec<Pending>,
     dead: &mut Vec<(EventToken, EventToken)>,
 ) {
     let (kind, a, b) = op;
@@ -55,8 +76,13 @@ fn apply(
             let at = SimTime::from_nanos(w.now().as_nanos() + b % (horizon(a) + 1));
             let tw = w.schedule(at, *id);
             let th = h.schedule(at, *id);
+            live.push(Pending {
+                id: *id,
+                at,
+                tw,
+                th,
+            });
             *id += 1;
-            live.push((tw, th));
         }
         // Bulk schedule_all on the wheel vs the reference semantics: one
         // schedule per event at the same instant (tokens not retained).
@@ -73,10 +99,8 @@ fn apply(
         5..=6 => {
             if !live.is_empty() {
                 let k = (a as usize) % live.len();
-                let (tw, th) = live.swap_remove(k);
-                w.cancel(tw);
-                h.cancel(th);
-                dead.push((tw, th));
+                let p = live.swap_remove(k);
+                cancel_both(p, w, h, dead);
             }
         }
         // Cancel a fired-or-cancelled token: must be a no-op on both.
@@ -88,28 +112,52 @@ fn apply(
                 h.cancel(th);
             }
         }
+        // Peek (refilling the wheel's front), then cancel the earliest
+        // tokened event: it sits in the front.
+        8 => {
+            assert_eq!(w.peek_time(), h.peek_time(), "peek_time diverged");
+            if let Some(k) = (0..live.len()).min_by_key(|&k| (live[k].at, live[k].id)) {
+                let p = live.swap_remove(k);
+                cancel_both(p, w, h, dead);
+            }
+        }
+        // Cancel the latest tokened event: on the spill whenever one is.
+        9 => {
+            if let Some(k) = (0..live.len()).max_by_key(|&k| (live[k].at, live[k].id)) {
+                let p = live.swap_remove(k);
+                cancel_both(p, w, h, dead);
+            }
+        }
         // Pop.
         _ => {
             let (pw, ph) = (w.pop(), h.pop());
             assert_eq!(pw, ph, "pop diverged");
-            if pw.is_some() {
-                // The fired event's token is now dead on both sides; move
-                // one live pair over when we can't tell which fired (the
-                // exact pair doesn't matter for no-op cancels).
-                if let Some(p) = live.pop() {
-                    dead.push(p);
+            if let Some((_, fired)) = pw {
+                if let Some(k) = live.iter().position(|p| p.id == fired) {
+                    let p = live.swap_remove(k);
+                    dead.push((p.tw, p.th));
                 }
             }
         }
     }
 }
 
-fn assert_observables(w: &EventQueue<u64>, h: &HeapEventQueue<u64>) {
+/// Compare every observable. `peek` is optional because a peek refills
+/// the wheel's front: ops must also run against an unrefilled front.
+fn assert_observables(w: &mut EventQueue<u64>, h: &HeapEventQueue<u64>, peek: bool) {
     assert_eq!(w.len(), h.len(), "len diverged");
     assert_eq!(w.is_empty(), h.is_empty());
     assert_eq!(w.popped(), h.popped(), "popped diverged");
-    assert_eq!(w.peek_time(), h.peek_time(), "peek_time diverged");
+    if peek {
+        assert_eq!(w.peek_time(), h.peek_time(), "peek_time diverged");
+    }
     assert_eq!(w.now(), h.now(), "now diverged");
+    assert_eq!(w.reachable(), w.len(), "wheel links lost an entry");
+    assert_eq!(
+        w.scheduled(),
+        w.popped() + w.cancelled() + w.len() as u64,
+        "event-queue ledger"
+    );
 }
 
 proptest! {
@@ -126,12 +174,12 @@ proptest! {
         let (mut live, mut dead) = (Vec::new(), Vec::new());
         for op in ops {
             apply(op, &mut id, &mut w, &mut h, &mut live, &mut dead);
-            assert_observables(&w, &h);
+            assert_observables(&mut w, &h, op.2 % 2 == 0);
         }
         loop {
             let (pw, ph) = (w.pop(), h.pop());
             prop_assert_eq!(pw, ph);
-            assert_observables(&w, &h);
+            assert_observables(&mut w, &h, true);
             if pw.is_none() {
                 break;
             }
@@ -166,7 +214,7 @@ proptest! {
         let (mut live, mut dead) = (Vec::new(), Vec::new());
         for op in ops {
             apply(op, &mut id, &mut w, &mut h, &mut live, &mut dead);
-            assert_observables(&w, &h);
+            assert_observables(&mut w, &h, op.2 % 2 == 0);
         }
         loop {
             let (pw, ph) = (w.pop(), h.pop());
@@ -175,99 +223,6 @@ proptest! {
                 break;
             }
         }
-        assert_observables(&w, &h);
-    }
-
-    /// Batched same-tick dispatch against serial pops: the wheel drains
-    /// whole ticks via `pop_batch` + per-event `commit` — with
-    /// handler-style mid-batch cancellations and same-tick reschedules —
-    /// while the heap pops one event at a time. Fired streams and all
-    /// counters must be identical.
-    #[test]
-    fn pop_batch_commit_matches_serial_heap_pops(ops in ops_strategy(300)) {
-        let mut w: EventQueue<u64> = EventQueue::new();
-        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut id = 0u64;
-        // id -> token pair, so a "handler" can cancel a specific later
-        // event of its own batch on both queues.
-        let mut tokens: std::collections::HashMap<u64, (EventToken, EventToken)> =
-            std::collections::HashMap::new();
-        let mut batch = Vec::new();
-        let mut fired_w = Vec::new();
-        let mut fired_h = Vec::new();
-        for (kind, a, b) in ops {
-            match kind {
-                // Schedule on both (same-tick horizons included).
-                0..=4 => {
-                    let at = SimTime::from_nanos(w.now().as_nanos() + b % (horizon(a) + 1));
-                    let tw = w.schedule(at, id);
-                    let th = h.schedule(at, id);
-                    tokens.insert(id, (tw, th));
-                    id += 1;
-                }
-                // Cancel an outstanding event by id on both.
-                5 => {
-                    if !tokens.is_empty() {
-                        let ids: Vec<u64> = tokens.keys().copied().collect();
-                        let victim = ids[(a as usize) % ids.len()];
-                        let (tw, th) = tokens[&victim];
-                        w.cancel(tw);
-                        h.cancel(th);
-                    }
-                }
-                // Drain one whole tick: batch on the wheel, serial pops on
-                // the heap. `a` odd => the first handler cancels the last
-                // event of the batch (classic sync_rto same-tick rearm).
-                _ => {
-                    let drained = w.pop_batch(&mut batch);
-                    let tick = h.peek_time();
-                    for (j, fire) in batch.drain(..).enumerate() {
-                        if j == 0 && a % 2 == 1 && drained > 1 {
-                            // Handler side effect: kill a later same-tick
-                            // event on both queues before it commits.
-                            let last_id = id - 1;
-                            if let Some(&(tw, th)) = tokens.get(&last_id) {
-                                w.cancel(tw);
-                                h.cancel(th);
-                            }
-                        }
-                        if w.commit(&fire) {
-                            fired_w.push((fire.time, fire.event));
-                            tokens.remove(&fire.event);
-                        }
-                    }
-                    if let Some(t) = tick {
-                        while h.peek_time() == Some(t) {
-                            let (pt, pe) = h.pop().expect("peeked");
-                            fired_h.push((pt, pe));
-                        }
-                    }
-                    prop_assert_eq!(&fired_w, &fired_h, "fired streams diverged");
-                }
-            }
-            assert_eq!(w.len(), h.len(), "len diverged");
-            assert_eq!(w.popped(), h.popped(), "popped diverged");
-            assert_eq!(w.peek_time(), h.peek_time(), "peek_time diverged");
-        }
-        // Drain the remainder tick-by-tick the same way.
-        loop {
-            if w.pop_batch(&mut batch) == 0 {
-                prop_assert_eq!(h.pop(), None);
-                break;
-            }
-            let tick = h.peek_time().expect("heap behind wheel");
-            for fire in batch.drain(..) {
-                if w.commit(&fire) {
-                    fired_w.push((fire.time, fire.event));
-                }
-            }
-            while h.peek_time() == Some(tick) {
-                let (pt, pe) = h.pop().expect("peeked");
-                fired_h.push((pt, pe));
-            }
-            prop_assert_eq!(&fired_w, &fired_h);
-        }
-        prop_assert_eq!(fired_w.len() as u64, w.popped());
-        prop_assert_eq!(w.popped(), h.popped());
+        assert_observables(&mut w, &h, true);
     }
 }

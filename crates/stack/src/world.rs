@@ -35,7 +35,7 @@ use hns_nic::tso;
 use hns_nic::{Link, TxArbiter};
 use hns_proto::{FlowId, Segment, SegmentKind, HEADER_BYTES};
 use hns_sched::Task;
-use hns_sim::{cycles_to_time, Duration, EventQueue, PendingFire, SimTime};
+use hns_sim::{cycles_to_time, Duration, EventQueue, SimTime};
 use hns_trace::{StageId, TraceCollector};
 
 use crate::app::{AppInstance, AppSpec};
@@ -340,11 +340,6 @@ pub struct World {
     /// Reusable output buffer for GRO offer/flush in the softirq loop
     /// (avoids a `Vec` allocation per offered frame).
     gro_scratch: Vec<RxSkb>,
-    /// Reusable batch buffer for same-tick event dispatch: `try_run`
-    /// drains a whole timestamp's events here via `pop_batch` and commits
-    /// each one just before handling, so the queue is probed once per tick
-    /// rather than once per event.
-    fire_scratch: Vec<PendingFire<Event>>,
     /// Per-skb lifecycle tracer (`hns-trace`). Disabled by default; every
     /// hook below is a single branch on `trace.enabled()` and stamps never
     /// charge cycles, so behaviour is identical with tracing on or off.
@@ -408,7 +403,6 @@ impl World {
             label: String::new(),
             frag_pool: crate::skb::FragPool::new(),
             gro_scratch: Vec::new(),
-            fire_scratch: Vec::new(),
             trace: TraceCollector::new(cfg.trace, nhosts, cores),
             churn: cfg
                 .churn
@@ -596,8 +590,8 @@ impl World {
             }
         }
         // Kick every application awake: batch-wake each host's threads
-        // (per-host order matches the old per-app loop), then bulk-insert
-        // the whole run of t=0 Dispatch events into a single wheel bucket.
+        // (per-host order matches the old per-app loop), then schedule the
+        // whole run of t=0 Dispatch events, which fire FIFO.
         for h in 0..self.hosts.len() {
             let apps = &self.apps;
             self.hosts[h]
@@ -612,53 +606,39 @@ impl World {
             }),
         );
 
-        // Batched same-tick dispatch: drain every event sharing the head
-        // timestamp in one queue probe, then commit each just before
-        // handling. `commit` re-checks liveness, so a handler cancelling a
-        // later event in the same tick (e.g. `sync_rto` rearming an RTO)
-        // skips it exactly as the old pop-per-event loop did.
-        let mut batch = std::mem::take(&mut self.fire_scratch);
-        'run: while !self.finished {
-            if self.queue.pop_batch(&mut batch) == 0 {
+        // One event per pop, in (time, seq) order. A handler that cancels a
+        // later event of the same tick (e.g. `sync_rto` re-arming an RTO)
+        // unlinks it from the queue, so it never surfaces here.
+        while !self.finished {
+            let Some((t, event)) = self.queue.pop() else {
                 break; // deadlock-free exhaustion (tests)
+            };
+            self.audit_pop(t);
+            if self.finished {
+                break;
             }
-            for fire in batch.drain(..) {
-                if self.finished {
-                    break 'run;
-                }
-                if !self.queue.commit(&fire) {
-                    continue; // cancelled earlier in this tick
-                }
-                let t = fire.time;
-                self.audit_pop(t);
-                if self.finished {
-                    break 'run;
-                }
-                if t == self.storm_at {
-                    self.storm_count += 1;
-                } else {
-                    self.storm_at = t;
-                    self.storm_count = 0;
-                }
-                if self.storm_count > STORM_LIMIT {
-                    self.trip(
-                        RunErrorKind::EventStorm,
-                        format!("{STORM_LIMIT}+ events at t={}ns", t.as_nanos()),
-                    );
-                    break 'run;
-                }
-                if self.queue.len() > LEAK_LIMIT {
-                    self.trip(
-                        RunErrorKind::QueueLeak,
-                        format!("event queue grew past {LEAK_LIMIT}"),
-                    );
-                    break 'run;
-                }
-                self.handle(fire.event)
+            if t == self.storm_at {
+                self.storm_count += 1;
+            } else {
+                self.storm_at = t;
+                self.storm_count = 0;
             }
+            if self.storm_count > STORM_LIMIT {
+                self.trip(
+                    RunErrorKind::EventStorm,
+                    format!("{STORM_LIMIT}+ events at t={}ns", t.as_nanos()),
+                );
+                break;
+            }
+            if self.queue.len() > LEAK_LIMIT {
+                self.trip(
+                    RunErrorKind::QueueLeak,
+                    format!("event queue grew past {LEAK_LIMIT}"),
+                );
+                break;
+            }
+            self.handle(event)
         }
-        batch.clear();
-        self.fire_scratch = batch;
         if self.run_error.is_none() {
             self.audit_teardown();
         }
@@ -2514,11 +2494,10 @@ impl World {
 mod tests {
     use super::*;
 
-    /// Every `Event` variant pays for the largest one in every wheel entry
-    /// and every batched `PendingFire`, and each entry is copied several
-    /// times on its way through the queue. A fat variant (say, a segment
-    /// carried inline) would silently grow all of them; carry a handle
-    /// instead, as `FrameArrive` does.
+    /// Every `Event` variant pays for the largest one in every slot of the
+    /// event queue's slab, so a fat variant (say, a segment carried
+    /// inline) would silently grow the slab and every cache line the
+    /// wheel touches; carry a handle instead, as `FrameArrive` does.
     #[test]
     fn event_stays_handle_sized() {
         assert!(std::mem::size_of::<Event>() <= 24);

@@ -19,6 +19,10 @@
 //! * **Tx-queue ledger** — every frame a host's Tx arbiter accepted was
 //!   handed to the wire or is still queued, and the arbiter's frame count
 //!   and doorbell bitmap agree with its queues,
+//! * **event-queue ledger** — every scheduled event fired, was cancelled,
+//!   or is pending, and the pending count equals the events reachable by
+//!   walking the queue's storage (an O(pending + buckets) walk, off the
+//!   hot path because audits run only at autotune ticks and teardown),
 //! * **wire-frame handles** — the in-flight frame arena holds exactly one
 //!   live handle per frame on the wire, so drops never allocate one and
 //!   arrivals always free theirs,
@@ -33,8 +37,9 @@
 //! run reports *what* broke and the world state it broke in.
 
 use hns_audit::{
-    AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger, FlowLedger,
-    HostFrameLedger, RingLedger, TxQueueLedger, Violation, WireArenaLedger,
+    AcceptLedger, ArenaLedger, ChurnLedger, ConnMemLedger, CycleLedger, DropLedger,
+    EventQueueLedger, FlowLedger, HostFrameLedger, RingLedger, TxQueueLedger, Violation,
+    WireArenaLedger,
 };
 use hns_conn::ConnId;
 use hns_sim::{cycles_to_time, SimTime};
@@ -221,6 +226,15 @@ impl World {
             .check(&mut out);
         }
 
+        EventQueueLedger {
+            scheduled: self.queue.scheduled(),
+            popped: self.queue.popped(),
+            cancelled: self.queue.cancelled(),
+            pending: self.queue.len() as u64,
+            reachable: self.queue.reachable() as u64,
+        }
+        .check(&mut out);
+
         WireArenaLedger {
             live: self.wire_frames.live() as u64,
             wire_in_flight: a.wire_in_flight.iter().sum(),
@@ -343,6 +357,7 @@ mod tests {
     use hns_faults::LossModel;
     use hns_sim::Duration;
 
+    use crate::watchdog::RunErrorKind;
     use crate::{AppSpec, FabricConfig, FlowSpec, SimConfig, World};
 
     /// Run `w` audited and check the wire-handle ledger at teardown, with
@@ -368,6 +383,32 @@ mod tests {
         w.add_app(1, 0, AppSpec::LongReceiver { flow: f });
         let w = run_balanced(w);
         assert!(w.drop_stats.wire > 0, "the lossy link must drop frames");
+    }
+
+    #[test]
+    fn event_queue_ledger_balances_and_trips_on_a_corrupt_count() {
+        let build = || {
+            let mut w = World::new(SimConfig {
+                audit: true,
+                ..SimConfig::default()
+            });
+            let f = w.add_flow(FlowSpec::forward(0, 0));
+            w.add_app(0, 0, AppSpec::LongSender { flow: f });
+            w.add_app(1, 0, AppSpec::LongReceiver { flow: f });
+            w
+        };
+        let w = run_balanced(build());
+        assert!(w.queue.cancelled() > 0, "the run must cancel timers");
+        assert_eq!(w.queue.reachable(), w.queue.len());
+        // A queue that loses count of one cancellation trips the ledger at
+        // the first audit tick.
+        let mut w = build();
+        w.queue.force_cancelled(1);
+        let err = w
+            .try_run(Duration::from_millis(5), Duration::from_millis(10))
+            .expect_err("the corrupted count must trip the auditor");
+        assert_eq!(err.kind, RunErrorKind::InvariantViolation);
+        assert!(err.detail.contains("event-queue-ledger"), "{}", err.detail);
     }
 
     #[test]

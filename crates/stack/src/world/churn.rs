@@ -197,8 +197,8 @@ impl World {
             SimTime::ZERO + Duration::from_nanos(first.max(1)),
             Event::ConnArrival,
         );
-        // Both reaper cadences start at the same instant: bulk-insert them
-        // as one wheel-bucket run (FIFO order: TIME_WAIT, then idle reap).
+        // Both reaper cadences start at the same instant and fire FIFO:
+        // TIME_WAIT, then idle reap.
         let idle_reap = ccfg.overload.enabled && !ccfg.overload.idle_timeout.is_zero();
         self.queue.schedule_all(
             SimTime::ZERO + ccfg.reap_interval,
