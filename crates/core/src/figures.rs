@@ -1,17 +1,14 @@
-//! Every table and figure of the paper's evaluation (§3), as runnable
-//! experiment sets. Each function returns the reports a bench/binary
-//! renders; EXPERIMENTS.md records paper-vs-measured for all of them.
+//! Every table and figure of the paper's evaluation (§3), plus the
+//! extensions and ablations built on it, as runnable experiment sets.
+//! EXPERIMENTS.md records paper-vs-measured for all of them.
 //!
-//! Figures are declared as data — a list of [`SweepPoint`]s — and
-//! executed by [`run_sweep`] on `hns-par`'s work-stealing thread pool.
-//! Every point is an independent, deterministic run (its own world, its
-//! own RNG seeds), and results come back in declared order, so sweep
-//! output is byte-identical whatever the job count. The pool size
-//! defaults to 1 and is set once at startup from the CLI's `--jobs`
-//! flag via [`set_jobs`]; library callers that want explicit control
-//! (tests, benches) use [`run_sweep_with`].
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! Each figure is declared once, as data: a `*_points()` function
+//! returning its [`SweepPoint`]s, listed in the [`FIGURES`] registry that
+//! `hostnet figures` runs. Sweeps execute through [`run_sweep_with`] on
+//! `hns-par`'s work-stealing thread pool. Every point is an independent,
+//! deterministic run (its own world, its own RNG seeds), and results come
+//! back in declared order, so sweep output is byte-identical whatever the
+//! job count.
 
 use hns_conn::AdmissionPolicy;
 use hns_metrics::Report;
@@ -24,21 +21,6 @@ use crate::Placement;
 
 /// Flow counts the multi-flow figures sweep (paper: 1, 8, 16, 24).
 pub const FLOW_SWEEP: [u16; 4] = [1, 8, 16, 24];
-
-/// Worker threads figure sweeps use (process-wide; see [`set_jobs`]).
-static JOBS: AtomicUsize = AtomicUsize::new(1);
-
-/// Set the sweep thread-pool size for all subsequent [`run_sweep`]
-/// calls. Clamped to at least 1. The CLI calls this once at startup
-/// from `--jobs`; output is identical for every value.
-pub fn set_jobs(jobs: usize) {
-    JOBS.store(jobs.max(1), Ordering::SeqCst);
-}
-
-/// Current sweep thread-pool size.
-pub fn jobs() -> usize {
-    JOBS.load(Ordering::SeqCst)
-}
 
 type ConfigureFn = Box<dyn Fn(&mut SimConfig) + Send + Sync>;
 
@@ -97,12 +79,6 @@ impl SweepPoint {
     }
 }
 
-/// Run a sweep on the process-wide pool size ([`jobs`]), results in
-/// declared order.
-pub fn run_sweep(points: &[SweepPoint]) -> Vec<Report> {
-    run_sweep_with(jobs(), points)
-}
-
 /// Run a sweep on an explicit pool size. `jobs <= 1` is the plain
 /// sequential loop; any other value produces byte-identical reports in
 /// the same order (each run owns its world and RNGs, and `map_ordered`
@@ -122,11 +98,6 @@ pub fn fig03_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 3a-d: single flow under incremental optimizations.
-pub fn fig03_single_flow() -> Vec<Report> {
-    run_sweep(&fig03_points())
-}
-
 /// Ring sizes × buffer sizes fig. 3e sweeps.
 const FIG03E_RINGS: [u32; 6] = [128, 256, 512, 1024, 2048, 4096];
 const FIG03E_BUFFERS: [(&str, Option<u64>); 4] = [
@@ -136,8 +107,8 @@ const FIG03E_BUFFERS: [(&str, Option<u64>); 4] = [
     ("12800KB", Some(12800 * 1024)),
 ];
 
-/// Fig. 3e points: the full ring × buffer grid (24 runs), declared in
-/// row-major order matching [`fig03e_ring_buffer`]'s rows.
+/// Fig. 3e points: cache miss rate and throughput over the full NIC ring
+/// × TCP Rx buffer grid (24 runs), declared in row-major order.
 pub fn fig03e_points() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for ring in FIG03E_RINGS {
@@ -157,23 +128,11 @@ pub fn fig03e_points() -> Vec<SweepPoint> {
     out
 }
 
-/// Fig. 3e: cache miss rate and throughput vs NIC ring size × TCP Rx
-/// buffer size. Returns `(ring, buffer_label, report)` rows.
-pub fn fig03e_ring_buffer() -> Vec<(u32, &'static str, Report)> {
-    let meta = FIG03E_RINGS.into_iter().flat_map(|ring| {
-        FIG03E_BUFFERS
-            .into_iter()
-            .map(move |(label, _)| (ring, label))
-    });
-    meta.zip(run_sweep(&fig03e_points()))
-        .map(|((ring, label), r)| (ring, label, r))
-        .collect()
-}
-
 /// Rx buffer sizes (KB) fig. 3f sweeps.
 const FIG03F_BUFFERS_KB: [u64; 8] = [100, 200, 400, 800, 1600, 3200, 6400, 12800];
 
-/// Fig. 3f points: one per Rx buffer size.
+/// Fig. 3f points: NAPI→start-of-copy latency, one run per Rx buffer
+/// size.
 pub fn fig03f_points() -> Vec<SweepPoint> {
     FIG03F_BUFFERS_KB
         .into_iter()
@@ -184,18 +143,14 @@ pub fn fig03f_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 3f: NAPI→start-of-copy latency vs TCP Rx buffer size.
-/// Returns `(buffer_kb, report)` rows.
-pub fn fig03f_latency() -> Vec<(u64, Report)> {
-    FIG03F_BUFFERS_KB
-        .into_iter()
-        .zip(run_sweep(&fig03f_points()))
-        .collect()
-}
-
-/// Fig. 3g points: traced one-to-one runs over the flow sweep. These
-/// carry `cfg.trace` enabled, so they double as the parallel-determinism
-/// check for traced runs.
+/// Fig. 3g points (ours, beyond the paper): per-stage latency breakdown
+/// from the skb lifecycle tracer, as traced one-to-one runs over the flow
+/// sweep. Where the paper splits *cycles* by component, this splits
+/// *packet time* by pipeline stage — showing, e.g., socket-queue residency
+/// growing as receiver cores saturate. Each report carries
+/// `stage_latency` percentiles and the end-to-end row. These points carry
+/// `cfg.trace` enabled, so they double as the parallel-determinism check
+/// for traced runs.
 pub fn fig03g_points() -> Vec<SweepPoint> {
     FLOW_SWEEP
         .into_iter()
@@ -207,19 +162,6 @@ pub fn fig03g_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 3g (ours, beyond the paper): per-stage latency breakdown from the
-/// skb lifecycle tracer, swept over flow counts. Where the paper splits
-/// *cycles* by component, this splits *packet time* by pipeline stage —
-/// showing, e.g., socket-queue residency growing as receiver cores
-/// saturate. Returns `(flows, report)` rows; each report carries
-/// `stage_latency` percentiles and the end-to-end row.
-pub fn fig03g_latency_breakdown() -> Vec<(u16, Report)> {
-    FLOW_SWEEP
-        .into_iter()
-        .zip(run_sweep(&fig03g_points()))
-        .collect()
-}
-
 /// Fig. 4 points: single flow, NIC-local vs NIC-remote NUMA node.
 pub fn fig04_points() -> Vec<SweepPoint> {
     vec![
@@ -228,15 +170,28 @@ pub fn fig04_points() -> Vec<SweepPoint> {
     ]
 }
 
-/// Fig. 4: single flow on NIC-local vs NIC-remote NUMA node.
-pub fn fig04_numa() -> Vec<Report> {
-    run_sweep(&fig04_points())
+/// Fig. 5 points: one-to-one over the flow × optimization-level grid;
+/// breakdowns come from the aRFS rows.
+pub fn fig05_points() -> Vec<SweepPoint> {
+    level_sweep_points(|flows| ScenarioKind::OneToOne { flows })
 }
 
-/// Fig. 5: one-to-one. Returns `(flows, level, report)` for the
-/// level-stacked throughput columns; breakdowns come from the aRFS rows.
-pub fn fig05_one_to_one() -> Vec<(u16, OptLevel, Report)> {
-    sweep_levels(|flows| ScenarioKind::OneToOne { flows })
+/// Fig. 6 points: incast over the flow × optimization-level grid.
+pub fn fig06_points() -> Vec<SweepPoint> {
+    level_sweep_points(|flows| ScenarioKind::Incast { flows })
+}
+
+/// Fig. 7 points: outcast over the flow × optimization-level grid. The
+/// paper reports throughput-per-*sender*-core; the report's sender side
+/// carries the relevant cores/breakdown.
+pub fn fig07_points() -> Vec<SweepPoint> {
+    level_sweep_points(|flows| ScenarioKind::Outcast { flows })
+}
+
+/// Fig. 8 points: all-to-all with x = 1, 8, 16, 24 cores per side, over
+/// every optimization level.
+pub fn fig08_points() -> Vec<SweepPoint> {
+    level_sweep_points(|x| ScenarioKind::AllToAll { x })
 }
 
 /// Connection arrival rates (conn/s) the churn figure sweeps.
@@ -245,9 +200,16 @@ pub const CONN_RATE_SWEEP: [f64; 4] = [50e3, 100e3, 200e3, 400e3];
 /// RPC payload sizes (bytes) the churn figure sweeps at a fixed rate.
 pub const CONN_RPC_SIZES: [u32; 4] = [65536, 16384, 4096, 1024];
 
-/// fig05_conn_rate points: handshake-only arrivals across the rate sweep,
-/// then short RPCs over fresh connections with shrinking payloads at a
-/// fixed 100k conn/s.
+/// Fig. 5 extension points: connection-rate scaling (`hns-conn`).
+///
+/// The paper's workloads reuse long-lived connections, so per-connection
+/// costs never show up in its breakdowns. This sweep drives open-loop
+/// connection arrivals — pure handshakes across the rate sweep, then
+/// one-RPC connections with shrinking payloads at a fixed 100k conn/s — so
+/// the reports expose where cycles go when the connection lifecycle itself
+/// is the workload: per-byte categories (data copy) fade and
+/// per-connection categories (memory management, locking, TCP/IP state)
+/// dominate as RPCs shrink.
 pub fn fig05_conn_rate_points() -> Vec<SweepPoint> {
     let mut out: Vec<SweepPoint> = CONN_RATE_SWEEP
         .into_iter()
@@ -271,22 +233,6 @@ pub fn fig05_conn_rate_points() -> Vec<SweepPoint> {
     out
 }
 
-/// Fig. 5 extension: connection-rate scaling (`hns-conn`).
-///
-/// The paper's workloads reuse long-lived connections, so per-connection
-/// costs never show up in its breakdowns. This sweep drives open-loop
-/// connection arrivals — pure handshakes at growing rates, then one-RPC
-/// connections with shrinking payloads — so the reports expose where
-/// cycles go when the connection lifecycle itself is the workload:
-/// per-byte categories (data copy) fade and per-connection categories
-/// (memory management, locking, TCP/IP state) dominate as RPCs shrink.
-/// Returns `(label, report)` rows.
-pub fn fig05_conn_rate() -> Vec<(String, Report)> {
-    let points = fig05_conn_rate_points();
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    labels.into_iter().zip(run_sweep(&points)).collect()
-}
-
 /// Concurrent-client counts fig_capacity sweeps at fixed server cores
 /// (each contributes [`hns_workload::CAPACITY_CLIENT_CPS`] attempts/s).
 pub const CAPACITY_CLIENTS: [u32; 4] = [125, 250, 500, 1000];
@@ -298,8 +244,16 @@ pub const CAPACITY_POLICIES: [AdmissionPolicy; 3] = [
     AdmissionPolicy::Shed,
 ];
 
-/// fig_capacity points: the policy × client-count grid, policies outermost
-/// so each policy's knee reads as four consecutive rows.
+/// Overload extension points: server capacity under admission control.
+///
+/// Goodput and p99 handshake/RPC latency versus concurrent clients at
+/// fixed cores, once per admission policy. Slow clients pin accept-queue
+/// slots and socket memory for heavy-tailed think times, so past the knee
+/// the policies diverge: `drop` pushes retries (and handshake tail
+/// latency) onto clients, `queue` rides SYN cookies statelessly past the
+/// queue bound, and `shed` refuses fast to keep the tail flat at the cost
+/// of completed connections. Policies are outermost so each policy's knee
+/// reads as four consecutive rows.
 pub fn fig_capacity_points() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for policy in CAPACITY_POLICIES {
@@ -315,21 +269,6 @@ pub fn fig_capacity_points() -> Vec<SweepPoint> {
     out
 }
 
-/// Overload extension: server capacity under admission control.
-///
-/// Goodput and p99 handshake/RPC latency versus concurrent clients at
-/// fixed cores, once per admission policy. Slow clients pin accept-queue
-/// slots and socket memory for heavy-tailed think times, so past the knee
-/// the policies diverge: `drop` pushes retries (and handshake tail
-/// latency) onto clients, `queue` rides SYN cookies statelessly past the
-/// queue bound, and `shed` refuses fast to keep the tail flat at the cost
-/// of completed connections. Returns `(label, report)` rows.
-pub fn fig_capacity() -> Vec<(String, Report)> {
-    let points = fig_capacity_points();
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    labels.into_iter().zip(run_sweep(&points)).collect()
-}
-
 /// Fan-in degrees fig_incast sweeps (sender hosts per receiver).
 pub const INCAST_SENDERS: [u16; 5] = [1, 2, 4, 8, 16];
 
@@ -341,10 +280,23 @@ pub const INCAST_BUFFER_BYTES: u64 = 256 * 1024;
 /// BDP at 100Gbps / ~5us RTT, a quarter of the shared buffer.
 pub const INCAST_ECN_THRESHOLD: u64 = 64 * 1024;
 
-/// fig_incast points: ECN off/on × fan-in degree, ECN outermost so each
-/// marking mode's collapse curve reads as five consecutive rows. Every
-/// point sizes the fabric to `senders + 1` hosts over 4 ECMP uplinks
-/// with the shared [`INCAST_BUFFER_BYTES`] switch buffer.
+/// Fabric extension points: incast collapse and ECN recovery at the ToR
+/// switch.
+///
+/// The paper's two-host testbed can't see the switch: every drop it
+/// reports is host-side (rings, backlogs, sockets). This sweep puts `n`
+/// sender hosts behind a shared-buffer ToR model and drives them into one
+/// receiver. With ECN off, aggregate goodput collapses past the fan-in
+/// knee — concurrent windows overrun the shallow shared buffer, the
+/// `switch_buffer` drop class fills, and p99 latency blows up with
+/// retransmission timeouts. With ECN marking at one BDP of port depth,
+/// senders back off on echoed marks before the buffer overflows and
+/// goodput stays near the line rate.
+///
+/// ECN off/on × fan-in degree, ECN outermost so each marking mode's
+/// collapse curve reads as five consecutive rows. Every point sizes the
+/// fabric to `senders + 1` hosts over 4 ECMP uplinks with the shared
+/// [`INCAST_BUFFER_BYTES`] switch buffer.
 pub fn fig_incast_points() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for (mode, ecn) in [("ecn-off", None), ("ecn-on", Some(INCAST_ECN_THRESHOLD))] {
@@ -367,23 +319,6 @@ pub fn fig_incast_points() -> Vec<SweepPoint> {
     out
 }
 
-/// Fabric extension: incast collapse and ECN recovery at the ToR switch.
-///
-/// The paper's two-host testbed can't see the switch: every drop it
-/// reports is host-side (rings, backlogs, sockets). This sweep puts `n`
-/// sender hosts behind a shared-buffer ToR model and drives them into one
-/// receiver. With ECN off, aggregate goodput collapses past the fan-in
-/// knee — concurrent windows overrun the shallow shared buffer, the new
-/// `switch_buffer` drop class fills, and p99 RPC-equivalent latency blows
-/// up with retransmission timeouts. With ECN marking at one BDP of port
-/// depth, senders back off on echoed marks before the buffer overflows
-/// and goodput stays near the line rate. Returns `(label, report)` rows.
-pub fn fig_incast() -> Vec<(String, Report)> {
-    let points = fig_incast_points();
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    labels.into_iter().zip(run_sweep(&points)).collect()
-}
-
 /// Scenario grid the cross-backend comparison runs every datapath
 /// against: the paper's single-flow microscope plus a multi-flow
 /// one-to-one so per-core effects (polling-core saturation, descriptor
@@ -393,8 +328,16 @@ pub const BACKEND_SCENARIOS: [(&str, ScenarioKind); 2] = [
     ("o2o-8", ScenarioKind::OneToOne { flows: 8 }),
 ];
 
-/// fig_backend points: the datapath × scenario grid, backends outermost
-/// so each backend's rows group together.
+/// Backend extension points (§4): where do the cycles go under three
+/// datapath architectures?
+///
+/// The in-kernel baseline, a full TCP offload (host taxonomy collapses to
+/// copy + syscall + descriptor bookkeeping), and a kernel-bypass busy-poll
+/// stack (descriptor work on a dedicated polling core, nothing else).
+/// Application bytes and wire behaviour are identical across backends;
+/// only the host cycle ledger moves. Expected ordering: bypass ≥ TOE ≥
+/// in-kernel goodput-per-host-core. The grid is datapath × scenario,
+/// backends outermost so each backend's rows group together.
 pub fn fig_backend_points() -> Vec<SweepPoint> {
     let mut out = Vec::new();
     for kind in DatapathKind::ALL {
@@ -406,39 +349,6 @@ pub fn fig_backend_points() -> Vec<SweepPoint> {
         }
     }
     out
-}
-
-/// Backend extension (§4): where do the cycles go under three datapath
-/// architectures?
-///
-/// Reruns the paper's "where do the cycles go" question with the host
-/// stack itself as the variable: the in-kernel baseline, a full TCP
-/// offload (host taxonomy collapses to copy + syscall + descriptor
-/// bookkeeping), and a kernel-bypass busy-poll stack (descriptor work on
-/// a dedicated polling core, nothing else). Application bytes and wire
-/// behaviour are identical across backends; only the host cycle ledger
-/// moves. Expected ordering: bypass ≥ TOE ≥ in-kernel
-/// goodput-per-host-core. Returns `(label, report)` rows.
-pub fn fig_backend() -> Vec<(String, Report)> {
-    let points = fig_backend_points();
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    labels.into_iter().zip(run_sweep(&points)).collect()
-}
-
-/// Fig. 6: incast.
-pub fn fig06_incast() -> Vec<(u16, OptLevel, Report)> {
-    sweep_levels(|flows| ScenarioKind::Incast { flows })
-}
-
-/// Fig. 7: outcast. The paper reports throughput-per-*sender*-core; the
-/// report's sender side carries the relevant cores/breakdown.
-pub fn fig07_outcast() -> Vec<(u16, OptLevel, Report)> {
-    sweep_levels(|flows| ScenarioKind::Outcast { flows })
-}
-
-/// Fig. 8: all-to-all with x = 1, 8, 16, 24 cores per side.
-pub fn fig08_all_to_all() -> Vec<(u16, OptLevel, Report)> {
-    sweep_levels(|x| ScenarioKind::AllToAll { x })
 }
 
 /// The flow × optimization-level grid figs. 5–8 share.
@@ -456,19 +366,10 @@ fn level_sweep_points(mk: impl Fn(u16) -> ScenarioKind) -> Vec<SweepPoint> {
     out
 }
 
-fn sweep_levels(mk: impl Fn(u16) -> ScenarioKind) -> Vec<(u16, OptLevel, Report)> {
-    let meta = FLOW_SWEEP
-        .into_iter()
-        .flat_map(|flows| OptLevel::ALL.into_iter().map(move |level| (flows, level)));
-    meta.zip(run_sweep(&level_sweep_points(mk)))
-        .map(|((flows, level), r)| (flows, level, r))
-        .collect()
-}
-
 /// Loss rates fig. 9 sweeps.
 const FIG09_LOSS: [f64; 4] = [0.0, 1.5e-4, 1.5e-3, 1.5e-2];
 
-/// Fig. 9 points: one per in-network loss rate.
+/// Fig. 9 points: single flow, one run per in-network loss rate.
 pub fn fig09_points() -> Vec<SweepPoint> {
     FIG09_LOSS
         .into_iter()
@@ -479,16 +380,15 @@ pub fn fig09_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 9: single flow under in-network loss. Returns
-/// `(loss_rate, report)` rows at all optimizations.
-pub fn fig09_loss() -> Vec<(f64, Report)> {
-    FIG09_LOSS
-        .into_iter()
-        .zip(run_sweep(&fig09_points()))
-        .collect()
-}
-
-/// Fig. 9 extension points: bursty loss then one-shot link flaps.
+/// Fig. 9 extension points: resilience under *bursty* loss and link
+/// flaps.
+///
+/// The paper's Fig. 9 sweeps only uniform random loss. Real networks lose
+/// frames in bursts (shallow-buffer overflow) and in contiguous outages
+/// (link flaps). This sweep holds the long-run loss rate at the paper's
+/// 1.5e-3 midpoint while growing the mean burst length, then injects
+/// one-shot flaps of increasing duration mid-measurement. Each report's
+/// drop taxonomy attributes every lost frame.
 pub fn fig09b_points() -> Vec<SweepPoint> {
     use hns_faults::{LossModel, PhaseSchedule};
     use hns_sim::Duration;
@@ -520,25 +420,10 @@ pub fn fig09b_points() -> Vec<SweepPoint> {
     out
 }
 
-/// Fig. 9 extension: resilience under *bursty* loss and link flaps.
-///
-/// The paper's Fig. 9 sweeps only uniform random loss. Real networks lose
-/// frames in bursts (shallow-buffer overflow) and in contiguous outages
-/// (link flaps). This sweep holds the long-run loss rate at the paper's
-/// 1.5e-3 midpoint while growing the mean burst length, then injects
-/// one-shot flaps of increasing duration mid-measurement. Each report's
-/// drop taxonomy attributes every lost frame, so the rows show both the
-/// throughput cost of burstiness and where the losses landed.
-pub fn fig09b_resilience() -> Vec<(String, Report)> {
-    let points = fig09b_points();
-    let labels: Vec<String> = points.iter().map(|p| p.label.clone()).collect();
-    labels.into_iter().zip(run_sweep(&points)).collect()
-}
-
 /// Request sizes (KB) fig. 10a/b sweeps.
 const FIG10_SIZES_KB: [u32; 4] = [4, 16, 32, 64];
 
-/// Fig. 10a/b points: one per request size.
+/// Fig. 10a/b points: 16:1 RPC incast, one run per request size.
 pub fn fig10_points() -> Vec<SweepPoint> {
     FIG10_SIZES_KB
         .into_iter()
@@ -552,14 +437,6 @@ pub fn fig10_points() -> Vec<SweepPoint> {
                 format!("rpc/{kb}KB"),
             )
         })
-        .collect()
-}
-
-/// Fig. 10a/b: 16:1 RPC incast across request sizes.
-pub fn fig10_short_flows() -> Vec<(u32, Report)> {
-    FIG10_SIZES_KB
-        .into_iter()
-        .zip(run_sweep(&fig10_points()))
         .collect()
 }
 
@@ -583,15 +460,10 @@ pub fn fig10c_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 10c: 4KB RPC server on NIC-local vs NIC-remote NUMA node.
-pub fn fig10c_rpc_numa() -> Vec<Report> {
-    run_sweep(&fig10c_points())
-}
-
 /// Short-flow counts fig. 11 sweeps.
 const FIG11_SHORTS: [u16; 4] = [0, 1, 4, 16];
 
-/// Fig. 11 points: one long flow + n short flows.
+/// Fig. 11 points: one long flow + n short flows on a single core pair.
 pub fn fig11_points() -> Vec<SweepPoint> {
     FIG11_SHORTS
         .into_iter()
@@ -599,14 +471,6 @@ pub fn fig11_points() -> Vec<SweepPoint> {
             let kind = ScenarioKind::Mixed { shorts, size: 4096 };
             SweepPoint::new(kind, kind.label())
         })
-        .collect()
-}
-
-/// Fig. 11: one long flow + n short flows on a single core pair.
-pub fn fig11_mixed() -> Vec<(u16, Report)> {
-    FIG11_SHORTS
-        .into_iter()
-        .zip(run_sweep(&fig11_points()))
         .collect()
 }
 
@@ -619,11 +483,6 @@ pub fn fig12_points() -> Vec<SweepPoint> {
     ]
 }
 
-/// Fig. 12: DCA disabled and IOMMU enabled vs the default, single flow.
-pub fn fig12_dca_iommu() -> Vec<Report> {
-    run_sweep(&fig12_points())
-}
-
 /// Congestion-control algorithms fig. 13 compares.
 const FIG13_CCS: [(&str, CcAlgo); 3] = [
     ("cubic", CcAlgo::Cubic),
@@ -631,7 +490,8 @@ const FIG13_CCS: [(&str, CcAlgo); 3] = [
     ("dctcp", CcAlgo::Dctcp),
 ];
 
-/// Fig. 13 points: one per congestion-control algorithm.
+/// Fig. 13 points: single flow, one run per congestion-control
+/// algorithm.
 pub fn fig13_points() -> Vec<SweepPoint> {
     FIG13_CCS
         .into_iter()
@@ -642,19 +502,305 @@ pub fn fig13_points() -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Fig. 13: congestion control comparison, single flow.
-pub fn fig13_congestion_control() -> Vec<(&'static str, Report)> {
-    FIG13_CCS
+/// Table 2 points: the four receive-steering mechanisms on a single flow.
+/// aRFS (hardware, app-core steering) wins; RFS matches placement but
+/// pays software cycles; RSS/RPS land on a remote node, lose DCA and pay
+/// lock contention.
+pub fn table2_points() -> Vec<SweepPoint> {
+    use hns_nic::steering::SteeringMode;
+    [
+        ("rss", SteeringMode::Rss),
+        ("rps", SteeringMode::Rps),
+        ("rfs", SteeringMode::Rfs),
+        ("arfs", SteeringMode::Arfs),
+    ]
+    .into_iter()
+    .map(|(name, mode)| {
+        SweepPoint::new(ScenarioKind::Single, format!("steering/{name}"))
+            .configure(move |c| c.stack.steering = mode)
+    })
+    .collect()
+}
+
+/// Footnote 3 points: GRO vs LRO on a single flow. Hardware aggregation
+/// removes the per-frame GRO cycles (the paper measured up to ~55Gbps
+/// with LRO, but notes it is often disabled because it can discard
+/// header data).
+pub fn lro_points() -> Vec<SweepPoint> {
+    [("gro", false), ("lro", true)]
         .into_iter()
-        .map(|(name, _)| name)
-        .zip(run_sweep(&fig13_points()))
+        .map(|(name, lro)| {
+            SweepPoint::new(ScenarioKind::Single, format!("aggregation/{name}")).configure(
+                move |c| {
+                    c.stack.lro = lro;
+                    c.stack.gro = !lro;
+                },
+            )
+        })
         .collect()
+}
+
+/// Ablation points: the design knobs DESIGN.md calls out, one sweep each.
+///
+/// - MTU, with the ring scaled to a constant ~4.6MB byte footprint
+///   (512 × 9000B), plus 1500B at the default 512-descriptor ring;
+/// - NAPI budget on a 16-flow incast (smaller budgets flush GRO more
+///   often: smaller aggregates, more IRQs);
+/// - DCA slice capacity (the §4 "extensions to DCA" knob);
+/// - interrupt moderation (`ethtool -C rx-usecs`);
+/// - receive-buffer pinning near the DCA slice (the §4 window-tuning
+///   proposal) vs Linux auto-tuning.
+pub fn ablation_points() -> Vec<SweepPoint> {
+    let single = |label: String| SweepPoint::new(ScenarioKind::Single, label);
+    let mut out = Vec::new();
+    for mtu in [1500u32, 3000, 6000, 9000] {
+        out.push(single(format!("mtu/{mtu}")).configure(move |c| {
+            c.stack.mtu = mtu;
+            c.stack.rx_descriptors = 512 * 9000 / mtu;
+        }));
+    }
+    out.push(single("mtu/1500-small-ring".into()).configure(|c| c.stack.mtu = 1500));
+    for budget in [16u32, 64, 300, 1024] {
+        out.push(
+            SweepPoint::new(
+                ScenarioKind::Incast { flows: 16 },
+                format!("budget/{budget}"),
+            )
+            .configure(move |c| c.napi_budget = budget),
+        );
+    }
+    for mb in [2u64, 3, 6, 12] {
+        out.push(single(format!("dca/{mb}MB")).configure(move |c| c.dca_capacity = mb << 20));
+    }
+    for usecs in [0u64, 10, 50, 200] {
+        out.push(
+            single(format!("coalesce/{usecs}us"))
+                .configure(move |c| c.irq_coalesce = hns_sim::Duration::from_micros(usecs)),
+        );
+    }
+    for (name, policy) in [
+        ("auto", RcvBufPolicy::Auto),
+        ("1600KB", RcvBufPolicy::Fixed(1600 * 1024)),
+        ("3200KB", RcvBufPolicy::Fixed(3200 * 1024)),
+    ] {
+        out.push(single(format!("rcvbuf/{name}")).configure(move |c| c.stack.rcvbuf = policy));
+    }
+    out
+}
+
+/// §4 "Future Directions" points, as runnable what-ifs:
+///
+/// - zero-copy: copies vs MSG_ZEROCOPY, TCP mmap receive and both on a
+///   single flow, then sender-side zero-copy on an 8-way outcast, where
+///   the sender core is the bottleneck (the paper's ~100Gbps/core);
+/// - the colocated 1 long + 16 short mix that application-aware
+///   scheduling would split (the isolated variant needs a hand-built
+///   world; `tests/future_directions.rs` runs it);
+/// - open-loop Poisson 4KB RPCs from 8 clients at 20–300k requests/s
+///   aggregate: the latency hockey-stick;
+/// - NUMA-aware placement of short flows: a 4KB RPC server NIC-local vs
+///   NIC-remote.
+pub fn future_points() -> Vec<SweepPoint> {
+    let mut out = Vec::new();
+    for (name, zc_tx, zc_rx) in [
+        ("copies", false, false),
+        ("tx", true, false),
+        ("rx", false, true),
+        ("both", true, true),
+    ] {
+        out.push(
+            SweepPoint::new(ScenarioKind::Single, format!("zc/{name}")).configure(move |c| {
+                c.stack.zerocopy_tx = zc_tx;
+                c.stack.zerocopy_rx = zc_rx;
+            }),
+        );
+    }
+    out.push(
+        SweepPoint::new(ScenarioKind::Outcast { flows: 8 }, "zc-tx/outcast8")
+            .configure(|c| c.stack.zerocopy_tx = true),
+    );
+    out.push(SweepPoint::new(
+        ScenarioKind::Mixed {
+            shorts: 16,
+            size: 4096,
+        },
+        "mixed/colocated",
+    ));
+    for krps in [20u32, 60, 120, 180, 240, 300] {
+        out.push(SweepPoint::new(
+            ScenarioKind::OpenLoop {
+                clients: 8,
+                size: 4096,
+                rate_rps: f64::from(krps) * 1000.0 / 8.0,
+            },
+            format!("open-loop/{krps}krps"),
+        ));
+    }
+    for (name, server) in [
+        ("nic-local", Placement::NicLocalFirst),
+        ("nic-remote", Placement::NicRemote),
+    ] {
+        out.push(SweepPoint::new(
+            ScenarioKind::RpcIncast {
+                clients: 16,
+                size: 4096,
+                server,
+            },
+            format!("numa/shorts-{name}"),
+        ));
+    }
+    out
+}
+
+/// Fig. 10 as one figure: the request-size sweep, then the NUMA pair.
+fn fig10_all_points() -> Vec<SweepPoint> {
+    let mut out = fig10_points();
+    out.extend(fig10c_points());
+    out
+}
+
+/// One registered figure: the id `hostnet figures` selects it by, a
+/// one-line description, and the sweep that regenerates it.
+#[derive(Debug)]
+pub struct Figure {
+    /// Selector on the command line (`hostnet figures <id>`).
+    pub id: &'static str,
+    /// What the figure shows, printed above its tables.
+    pub about: &'static str,
+    /// The figure's sweep, in row order.
+    pub points: fn() -> Vec<SweepPoint>,
+}
+
+/// Every figure, in the order `hostnet figures` runs them when no id is
+/// given. Appending keeps earlier figures' output a byte prefix of the
+/// full run.
+pub const FIGURES: &[Figure] = &[
+    Figure {
+        id: "fig03",
+        about: "Fig. 3a-d: single flow under incremental optimizations",
+        points: fig03_points,
+    },
+    Figure {
+        id: "fig03e",
+        about: "Fig. 3e: cache miss rate and throughput vs NIC ring x TCP Rx buffer",
+        points: fig03e_points,
+    },
+    Figure {
+        id: "fig03f",
+        about: "Fig. 3f: NAPI-to-copy latency vs TCP Rx buffer",
+        points: fig03f_points,
+    },
+    Figure {
+        id: "fig03g",
+        about: "Fig. 3g (ours): per-stage latency from the lifecycle tracer",
+        points: fig03g_points,
+    },
+    Figure {
+        id: "fig04",
+        about: "Fig. 4: single flow on a NIC-local vs NIC-remote NUMA node",
+        points: fig04_points,
+    },
+    Figure {
+        id: "fig05",
+        about: "Fig. 5: one-to-one, flows x optimization level",
+        points: fig05_points,
+    },
+    Figure {
+        id: "fig06",
+        about: "Fig. 6: incast, flows x optimization level",
+        points: fig06_points,
+    },
+    Figure {
+        id: "fig07",
+        about: "Fig. 7: outcast, flows x optimization level",
+        points: fig07_points,
+    },
+    Figure {
+        id: "fig08",
+        about: "Fig. 8: all-to-all, cores per side x optimization level",
+        points: fig08_points,
+    },
+    Figure {
+        id: "fig09",
+        about: "Fig. 9: single flow under uniform in-network loss",
+        points: fig09_points,
+    },
+    Figure {
+        id: "fig09b",
+        about: "Fig. 9 extension: bursty loss and link flaps",
+        points: fig09b_points,
+    },
+    Figure {
+        id: "fig05c",
+        about: "Fig. 5 extension: connection-rate scaling and short RPCs",
+        points: fig05_conn_rate_points,
+    },
+    Figure {
+        id: "fig10",
+        about: "Fig. 10: 16:1 RPC incast by size, and 4KB NIC-local vs NIC-remote",
+        points: fig10_all_points,
+    },
+    Figure {
+        id: "fig11",
+        about: "Fig. 11: one long flow + n short flows on one core pair",
+        points: fig11_points,
+    },
+    Figure {
+        id: "fig12",
+        about: "Fig. 12: DCA disabled and IOMMU enabled vs the default",
+        points: fig12_points,
+    },
+    Figure {
+        id: "fig13",
+        about: "Fig. 13: CUBIC vs BBR vs DCTCP",
+        points: fig13_points,
+    },
+    Figure {
+        id: "figcap",
+        about: "overload: admission policy x concurrent clients at fixed cores",
+        points: fig_capacity_points,
+    },
+    Figure {
+        id: "figincast",
+        about: "fabric: ToR fan-in, ECN off vs on at every fan-in degree",
+        points: fig_incast_points,
+    },
+    Figure {
+        id: "figback",
+        about: "datapaths: in-kernel vs TCP offload vs kernel bypass",
+        points: fig_backend_points,
+    },
+    Figure {
+        id: "table2",
+        about: "Table 2: RSS vs RPS vs RFS vs aRFS receive steering",
+        points: table2_points,
+    },
+    Figure {
+        id: "lro",
+        about: "footnote 3: GRO vs LRO",
+        points: lro_points,
+    },
+    Figure {
+        id: "ablations",
+        about: "ablations: MTU, NAPI budget, DCA slice, IRQ moderation, rcvbuf",
+        points: ablation_points,
+    },
+    Figure {
+        id: "future",
+        about: "§4 future directions: zero-copy, scheduling, open loop, NUMA",
+        points: future_points,
+    },
+];
+
+/// Look a figure up by id.
+pub fn figure(id: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.id == id)
 }
 
 #[cfg(test)]
 mod tests {
-    // Figure functions are exercised end-to-end by the integration tests
-    // and benches; here we only check cheap structural properties.
+    // Figures are exercised end-to-end by the integration tests and
+    // `hostnet figures`; here we only check cheap structural properties.
     use super::*;
 
     #[test]
@@ -664,7 +810,7 @@ mod tests {
 
     #[test]
     fn fig04_runs_both_placements() {
-        let rows = fig04_numa();
+        let rows = run_sweep_with(1, &fig04_points());
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].label, "nic-local");
         assert_eq!(rows[1].label, "nic-remote");
@@ -678,10 +824,14 @@ mod tests {
         assert_eq!(fig03e_points()[23].label, "ring4096/12800KB");
         assert_eq!(fig03f_points().len(), 8);
         assert_eq!(fig03g_points().len(), FLOW_SWEEP.len());
-        assert_eq!(
-            level_sweep_points(|flows| ScenarioKind::OneToOne { flows }).len(),
-            FLOW_SWEEP.len() * OptLevel::ALL.len()
-        );
+        for points in [
+            fig05_points(),
+            fig06_points(),
+            fig07_points(),
+            fig08_points(),
+        ] {
+            assert_eq!(points.len(), FLOW_SWEEP.len() * OptLevel::ALL.len());
+        }
         assert_eq!(fig09_points().len(), 4);
         assert_eq!(fig09b_points().len(), 6);
         assert_eq!(fig10_points().len(), 4);
@@ -704,6 +854,60 @@ mod tests {
         );
         assert_eq!(back[0].label, "backend/inkernel/single");
         assert_eq!(back[5].label, "backend/bypass/o2o-8");
+        assert_eq!(table2_points().len(), 4);
+        assert_eq!(table2_points()[3].label, "steering/arfs");
+        assert_eq!(lro_points().len(), 2);
+        assert_eq!(ablation_points().len(), 20);
+        assert_eq!(future_points().len(), 14);
+
+        // Registry: ids unique and in run order (appending keeps the
+        // no-id output a prefix of earlier versions'), every figure
+        // non-empty, labels unique within a figure.
+        let ids: Vec<&str> = FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig03",
+                "fig03e",
+                "fig03f",
+                "fig03g",
+                "fig04",
+                "fig05",
+                "fig06",
+                "fig07",
+                "fig08",
+                "fig09",
+                "fig09b",
+                "fig05c",
+                "fig10",
+                "fig11",
+                "fig12",
+                "fig13",
+                "figcap",
+                "figincast",
+                "figback",
+                "table2",
+                "lro",
+                "ablations",
+                "future",
+            ]
+        );
+        for (i, f) in FIGURES.iter().enumerate() {
+            assert!(!ids[..i].contains(&f.id), "duplicate id {}", f.id);
+            assert_eq!(figure(f.id).map(|g| g.about), Some(f.about));
+            let points = (f.points)();
+            assert!(!points.is_empty(), "{} has no points", f.id);
+            for (j, p) in points.iter().enumerate() {
+                assert!(
+                    points[..j].iter().all(|q| q.label != p.label),
+                    "{}: duplicate label {}",
+                    f.id,
+                    p.label
+                );
+            }
+        }
+        assert!(figure("bogus").is_none());
+        assert_eq!((figure("fig10").unwrap().points)().len(), 6);
     }
 
     #[test]
@@ -745,14 +949,5 @@ mod tests {
         let e = p.build();
         assert_eq!(e.cfg.stack.rx_descriptors, 77);
         assert_eq!(e.label.as_deref(), Some("x"));
-    }
-
-    #[test]
-    fn set_jobs_clamps_to_one() {
-        set_jobs(0);
-        assert_eq!(jobs(), 1);
-        set_jobs(4);
-        assert_eq!(jobs(), 4);
-        set_jobs(1);
     }
 }

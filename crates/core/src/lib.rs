@@ -6,9 +6,10 @@
 //! figures plot (throughput-per-core, CPU breakdowns, cache miss rates,
 //! latency distributions, skb size histograms).
 //!
-//! The [`figures`] module packages every table/figure of the paper's
-//! evaluation (§3) as a function returning the corresponding report rows;
-//! the `hns-bench` crate prints them.
+//! The [`figures`] module declares every table/figure of the paper's
+//! evaluation (§3), plus the extensions and ablations, as sweeps of
+//! points listed in one registry ([`figures::FIGURES`]); `hostnet
+//! figures` runs and renders them.
 //!
 //! ```
 //! use hns_core::{Experiment, ScenarioKind};

@@ -4,8 +4,10 @@
 //! can be pinned byte-for-byte. These tests render representative sweeps
 //! (fig. 3e's ring × buffer grid, the fig. 9b resilience extension,
 //! fig. 13's congestion-control matrix, the fig_capacity overload sweep,
-//! the fig_backend datapath comparison) to canonical JSONL and compare
-//! against the checked-in files under `tests/golden/`.
+//! the fig_backend datapath comparison, the fig_incast fabric sweep, and
+//! Table 2's steering modes with footnote 3's GRO-vs-LRO pair) to
+//! canonical JSONL and compare against the checked-in files under
+//! `tests/golden/`.
 //!
 //! Any intentional change to the engine, cost model, or report schema
 //! shows up here first. To accept new goldens (the `--bless` path):
@@ -75,29 +77,20 @@ fn check(name: &str, body: String) {
 
 #[test]
 fn golden_fig03e_ring_buffer_grid() {
-    let reports: Vec<Report> = figures::fig03e_ring_buffer()
-        .into_iter()
-        .map(|(_, _, r)| r)
-        .collect();
+    let reports = figures::run_sweep_with(1, &figures::fig03e_points());
     assert_eq!(reports.len(), 24);
     check("fig03e.jsonl", render(&reports));
 }
 
 #[test]
 fn golden_fig09b_resilience() {
-    let reports: Vec<Report> = figures::fig09b_resilience()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figures::run_sweep_with(1, &figures::fig09b_points());
     check("fig09b.jsonl", render(&reports));
 }
 
 #[test]
 fn golden_fig13_congestion_control() {
-    let reports: Vec<Report> = figures::fig13_congestion_control()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figures::run_sweep_with(1, &figures::fig13_points());
     check("fig13.jsonl", render(&reports));
 }
 
@@ -128,7 +121,7 @@ fn golden_fig_backend() {
     // `Datapath` seam is charge-transparent: they must match what the
     // legacy pipeline produced before the trait existed (the other golden
     // suites enforce that too — all pre-seam goldens stay byte-identical).
-    let reports: Vec<Report> = figures::fig_backend().into_iter().map(|(_, r)| r).collect();
+    let reports = figures::run_sweep_with(1, &figures::fig_backend_points());
     assert_eq!(reports.len(), 6);
     check("fig_backend.jsonl", render(&reports));
 }
@@ -138,10 +131,7 @@ fn golden_fig_capacity() {
     // The overload sweep: admission policy × concurrent clients. Pins
     // the whole capacity summary (queue books, cookies, sheds, memory
     // peaks, RPC tail) byte-for-byte, on top of the usual report fields.
-    let reports: Vec<Report> = figures::fig_capacity()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let reports = figures::run_sweep_with(1, &figures::fig_capacity_points());
     assert_eq!(reports.len(), 12);
     check("fig_capacity.jsonl", render(&reports));
 }
@@ -151,7 +141,19 @@ fn golden_fig_incast() {
     // The fabric fan-in sweep: ECN off/on × sender count through the
     // shared-buffer ToR model. Pins the switch drop counts, per-flow
     // fairness, and the ECN recovery byte-for-byte.
-    let reports: Vec<Report> = figures::fig_incast().into_iter().map(|(_, r)| r).collect();
+    let reports = figures::run_sweep_with(1, &figures::fig_incast_points());
     assert_eq!(reports.len(), 10);
     check("fig_incast.jsonl", render(&reports));
+}
+
+#[test]
+fn golden_table2_lro() {
+    // Paper Table 2 (RSS/RPS/RFS/aRFS steering) then footnote 3 (GRO vs
+    // LRO): pins the steering placement, DCA and lock costs, and the
+    // hardware-aggregation saving byte-for-byte.
+    let mut points = figures::table2_points();
+    points.extend(figures::lro_points());
+    let reports = figures::run_sweep_with(1, &points);
+    assert_eq!(reports.len(), 6);
+    check("table2_lro.jsonl", render(&reports));
 }

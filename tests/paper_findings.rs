@@ -3,8 +3,9 @@
 //! effects), not exact Gbps values.
 //!
 //! Tests use shortened measurement windows; the full-length numbers are
-//! produced by `cargo bench` and recorded in EXPERIMENTS.md.
+//! produced by `hostnet figures` and recorded in EXPERIMENTS.md.
 
+use hostnet::building_blocks::core_figures as figures;
 use hostnet::building_blocks::stack::config::RcvBufPolicy;
 use hostnet::{Category, Experiment, OptLevel, Placement, ScenarioKind};
 
@@ -428,5 +429,55 @@ fn congestion_control_is_not_the_bottleneck() {
         "BBR should pay for pacing: {:.3} vs {:.3}",
         bbr.sender.breakdown.fraction(Category::Sched),
         cubic.sender.breakdown.fraction(Category::Sched)
+    );
+}
+
+/// Run a registry sweep at quick windows, keyed by label.
+fn quick_sweep(points: Vec<figures::SweepPoint>) -> Vec<(String, hostnet::Report)> {
+    points
+        .iter()
+        .map(|p| (p.label.clone(), p.build().quick().run()))
+        .collect()
+}
+
+/// Table 2: aRFS steers to the application core and keeps DCA, so it
+/// leads; RFS gets the placement right in software; RSS and RPS land on
+/// a NIC-remote core, lose DCA and pay lock contention, far behind.
+#[test]
+fn steering_orders_arfs_rfs_then_rss_rps() {
+    let rows = quick_sweep(figures::table2_points());
+    let per_core = |mode: &str| {
+        rows.iter()
+            .find(|(l, _)| l == &format!("steering/{mode}"))
+            .map(|(_, r)| r.thpt_per_core_gbps)
+            .unwrap()
+    };
+    let (rss, rps, rfs, arfs) = (
+        per_core("rss"),
+        per_core("rps"),
+        per_core("rfs"),
+        per_core("arfs"),
+    );
+    assert!(
+        arfs >= rfs && rfs > 1.3 * rss.max(rps),
+        "arfs {arfs:.1} / rfs {rfs:.1} / rss {rss:.1} / rps {rps:.1}"
+    );
+}
+
+/// Footnote 3: LRO aggregates in hardware, removing the per-frame GRO
+/// cycles, so it beats GRO on throughput-per-core.
+#[test]
+fn lro_beats_gro() {
+    let rows = quick_sweep(figures::lro_points());
+    let (gro, lro) = (&rows[0], &rows[1]);
+    assert_eq!(
+        (gro.0.as_str(), lro.0.as_str()),
+        ("aggregation/gro", "aggregation/lro")
+    );
+    assert!(
+        lro.1.thpt_per_core_gbps > gro.1.thpt_per_core_gbps,
+        "lro {:.1} vs gro {:.1}",
+        lro.1.thpt_per_core_gbps,
+        gro.1.thpt_per_core_gbps
     );
 }

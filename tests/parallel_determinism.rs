@@ -141,12 +141,12 @@ fn cli_capacity_output_is_jobs_invariant() {
     let bin = env!("CARGO_BIN_EXE_hostnet");
     let run = |jobs: &str| {
         let out = std::process::Command::new(bin)
-            .args(["capacity", "--quick", "--csv", "--jobs", jobs])
+            .args(["figures", "figcap", "--quick", "--csv", "--jobs", jobs])
             .output()
             .expect("spawn hostnet");
         assert!(
             out.status.success(),
-            "hostnet capacity --jobs {jobs} failed"
+            "hostnet figures figcap --jobs {jobs} failed"
         );
         out.stdout
     };
